@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 
 #include "common/logging.h"
 #include "controller/reassembly.h"
@@ -526,11 +527,9 @@ nvme::SubmissionQueueEntry NvmeDriver::build_base_sqe(
   return sqe;
 }
 
-Status NvmeDriver::attach_data_prp(QueuePair& qp,
-                                   nvme::SubmissionQueueEntry& sqe,
+Status NvmeDriver::attach_data_prp(nvme::SubmissionQueueEntry& sqe,
                                    Pending& pending,
                                    const IoRequest& request) {
-  (void)qp;
   const bool read_dir = is_read_direction(request.opcode);
   const std::uint64_t len =
       read_dir ? request.read_buffer.size() : request.write_data.size();
@@ -552,11 +551,9 @@ Status NvmeDriver::attach_data_prp(QueuePair& qp,
   return Status::ok();
 }
 
-Status NvmeDriver::attach_data_sgl(QueuePair& qp,
-                                   nvme::SubmissionQueueEntry& sqe,
+Status NvmeDriver::attach_data_sgl(nvme::SubmissionQueueEntry& sqe,
                                    Pending& pending,
                                    const IoRequest& request) {
-  (void)qp;
   const bool read_dir = is_read_direction(request.opcode);
 
   if (read_dir && request.discard_read_data) {
@@ -644,13 +641,11 @@ Status NvmeDriver::submit_plain(QueuePair& qp,
       SqGuard lock(*qp.sq);
       if (qp.sq->free_slots() >= 1) {
         const Nanoseconds start = link_.clock().now();
-        link_.clock().advance(config_.timing.sqe_insert_ns);
-        qp.sq->push_slot(sqe_bytes(sqe));
+        push_command_locked(qp, sqe, {});
         qp.sq_occupancy.set(qp.sq->occupancy());
         last_submit_cost_ns_.store(link_.clock().now() - start,
                                    std::memory_order_relaxed);
         if (marks != nullptr) {
-          marks->acquire_ns = start;
           marks->slot_wait_ns +=
               static_cast<std::uint64_t>(start - entry_time);
           marks->push_end_ns = link_.clock().now();
@@ -714,38 +709,6 @@ std::uint32_t NvmeDriver::push_command_locked(
   return 1 + chunks;
 }
 
-bool NvmeDriver::submit_inline_locked(QueuePair& qp,
-                                      const nvme::SubmissionQueueEntry& sqe,
-                                      ConstByteSpan payload,
-                                      SubmitMarks* marks) {
-  const bool ooo = nvme::inline_chunk::sqe_is_ooo(sqe);
-  const std::uint32_t chunks =
-      ooo ? nvme::inline_chunk::ooo_chunks_for(payload.size())
-          : nvme::inline_chunk::raw_chunks_for(payload.size());
-  {
-    // §3.3.2: command + chunks inserted under one hold of the SQ lock, so
-    // the entries are consecutive and in order.
-    SqGuard lock(*qp.sq);
-    if (qp.sq->free_slots() < 1 + chunks) return false;
-    const Nanoseconds start = link_.clock().now();
-    const std::uint32_t pushed = push_command_locked(qp, sqe, payload);
-    qp.sq_occupancy.set(qp.sq->occupancy());
-    last_submit_cost_ns_.store(link_.clock().now() - start,
-                               std::memory_order_relaxed);
-    if (marks != nullptr) {
-      marks->acquire_ns = start;
-      marks->push_end_ns = link_.clock().now();
-    }
-    // One doorbell for the command and all of its chunks, rung before the
-    // lock drops so racing submitters cannot regress the tail register.
-    ring_sq_traced(qp.sq->qid(), qp.sq->tail(),
-                   /*entries=*/pushed, sqe.cid,
-                   ooo ? obs::kFlagOooCommand : 0);
-    if (marks != nullptr) marks->bell_end_ns = link_.clock().now();
-  }
-  return true;
-}
-
 Status NvmeDriver::submit_bandslim(QueuePair& qp,
                                    nvme::SubmissionQueueEntry sqe,
                                    const IoRequest& request,
@@ -779,29 +742,33 @@ Status NvmeDriver::submit_bandslim(QueuePair& qp,
   return Status::ok();
 }
 
-StatusOr<Submitted> NvmeDriver::submit_with_method(const IoRequest& request,
-                                                   std::uint16_t qid,
-                                                   ResolvedMethod resolved,
-                                                   std::uint8_t submit_flags) {
-  QueuePair& qp = queue(qid);
-  const TransferMethod method = resolved.method;
+Status NvmeDriver::prepare(const IoRequest& request, std::uint16_t qid,
+                           const ResolvedMethod& resolved, Prepared& prep) {
+  prep.request = &request;
+  prep.resolved = resolved;
+  if (resolved.feasibility_fallback || resolved.degraded) {
+    prep.submit_flags = obs::kFlagMethodFallback;
+  }
+  if (resolved.auto_decided) prep.submit_flags |= obs::kFlagAutoPolicy;
+  if (resolved.method == TransferMethod::kByteExpressOoo) {
+    prep.submit_flags |= obs::kFlagOooCommand;
+  }
+  if (resolved.feasibility_fallback) inline_fallbacks_.increment();
 
   // Validate block I/O geometry up front.
-  if (request.opcode == nvme::IoOpcode::kWrite) {
-    if (request.write_data.size() !=
-        std::uint64_t{request.block_count} * kBlockSize) {
-      return invalid_argument("write_data must be block_count * 4096 bytes");
-    }
+  if (request.opcode == nvme::IoOpcode::kWrite &&
+      request.write_data.size() !=
+          std::uint64_t{request.block_count} * kBlockSize) {
+    return invalid_argument("write_data must be block_count * 4096 bytes");
   }
-  if (request.opcode == nvme::IoOpcode::kRead) {
-    if (request.read_buffer.size() !=
-        std::uint64_t{request.block_count} * kBlockSize) {
-      return invalid_argument("read_buffer must be block_count * 4096 bytes");
-    }
+  if (request.opcode == nvme::IoOpcode::kRead &&
+      request.read_buffer.size() !=
+          std::uint64_t{request.block_count} * kBlockSize) {
+    return invalid_argument("read_buffer must be block_count * 4096 bytes");
   }
 
-  nvme::SubmissionQueueEntry sqe = build_base_sqe(request);
-
+  QueuePair& qp = queue(qid);
+  prep.sqe = build_base_sqe(request);
   Pending pending;
   const Nanoseconds entry_time = link_.clock().now();
   // Reactor-posted requests backdate the latency window to the instant the
@@ -809,14 +776,13 @@ StatusOr<Submitted> NvmeDriver::submit_with_method(const IoRequest& request,
   // is measured and attributed as kRingWait instead of silently vanishing.
   // The timeout deadline still runs from driver entry: queueing ahead of
   // the driver must not consume the command's execution budget.
-  const Nanoseconds submit_time =
-      request.origin_ns != 0 && request.origin_ns <= entry_time
-          ? request.origin_ns
-          : entry_time;
-  pending.submit_time_ns = submit_time;
+  prep.submit_time = request.origin_ns != 0 && request.origin_ns <= entry_time
+                         ? request.origin_ns
+                         : entry_time;
+  pending.submit_time_ns = prep.submit_time;
   pending.ring_wait_ns =
-      static_cast<std::uint64_t>(entry_time - submit_time);
-  pending.method = method;
+      static_cast<std::uint64_t>(entry_time - prep.submit_time);
+  pending.method = resolved.method;
   pending.tenant = request.tenant;
   if (config_.command_timeout_ns > 0) {
     pending.deadline_ns = entry_time + config_.command_timeout_ns;
@@ -833,39 +799,41 @@ StatusOr<Submitted> NvmeDriver::submit_with_method(const IoRequest& request,
       pending.read_slots_reserved = chunks;
       inline_read_attempts_.increment();
     } else {
-      resolved.inline_read = false;
+      prep.resolved.inline_read = false;
       inline_read_fallbacks_.increment();
-      submit_flags |= obs::kFlagMethodFallback;
+      prep.submit_flags |= obs::kFlagMethodFallback;
     }
   }
 
+  prep.slots = 1;
   if (pending.inline_read) {
     // No PRP/SGL staging: the payload arrives through the completion
     // ring, so the command crosses the link bare.
-    inr::mark_sqe_inline_read(sqe);
+    inr::mark_sqe_inline_read(prep.sqe);
     pending.read_target = request.read_buffer;
     pending.read_length =
         static_cast<std::uint32_t>(read_length_of(request));
   } else {
-    switch (method) {
-      case TransferMethod::kPrp: {
-        BX_RETURN_IF_ERROR(attach_data_prp(qp, sqe, pending, request));
+    switch (resolved.method) {
+      case TransferMethod::kPrp:
+        BX_RETURN_IF_ERROR(attach_data_prp(prep.sqe, pending, request));
         break;
-      }
-      case TransferMethod::kSgl: {
-        BX_RETURN_IF_ERROR(attach_data_sgl(qp, sqe, pending, request));
+      case TransferMethod::kSgl:
+        BX_RETURN_IF_ERROR(attach_data_sgl(prep.sqe, pending, request));
         break;
-      }
       case TransferMethod::kByteExpress:
-      case TransferMethod::kByteExpressOoo: {
-        sqe.set_inline_length(
+      case TransferMethod::kByteExpressOoo:
+        prep.sqe.set_inline_length(
             static_cast<std::uint32_t>(request.write_data.size()));
-        if (method == TransferMethod::kByteExpressOoo) {
-          nvme::inline_chunk::mark_sqe_ooo(sqe, allocate_payload_id());
+        if (resolved.method == TransferMethod::kByteExpressOoo) {
+          nvme::inline_chunk::mark_sqe_ooo(prep.sqe, allocate_payload_id());
         }
+        prep.inline_payload = request.write_data;
+        prep.slots +=
+            inline_slots_for(resolved.method, request.write_data.size());
         break;
-      }
       case TransferMethod::kBandSlim:
+        prep.slots = 0;
         break;
       case TransferMethod::kHybrid:
       case TransferMethod::kAuto:
@@ -877,138 +845,194 @@ StatusOr<Submitted> NvmeDriver::submit_with_method(const IoRequest& request,
   // One admission decision per command, taken before any ring slot is
   // claimed; a rejection surfaces the gate's status unchanged (staging is
   // undone by Pending's RAII — nothing was published).
-  {
-    const Nanoseconds gate_start = link_.clock().now();
-    const Status admitted = gate_admit(request, qid, resolved, pending);
-    if (!admitted.is_ok()) {
-      release_read_slots(qp, pending);
-      return admitted;
-    }
-    pending.gate_wait_ns =
-        static_cast<std::uint64_t>(link_.clock().now() - gate_start);
+  const Nanoseconds gate_start = link_.clock().now();
+  const Status admitted = gate_admit(request, qid, prep.resolved, pending);
+  if (!admitted.is_ok()) {
+    release_read_slots(qp, pending);
+    return admitted;
   }
+  pending.gate_wait_ns =
+      static_cast<std::uint64_t>(link_.clock().now() - gate_start);
 
-  const std::uint16_t cid = register_pending(qp, std::move(pending));
-  sqe.cid = cid;
+  prep.cid = register_pending(qp, std::move(pending));
+  prep.sqe.cid = prep.cid;
+  return Status::ok();
+}
 
-  const auto abandon = [this, &qp, cid] {
-    std::lock_guard<std::mutex> lock(qp.pending_mutex);
-    auto it = qp.pending.find(cid);
-    if (it != qp.pending.end()) {
-      gate_release(it->second, /*completed=*/false);
-      release_read_slots(qp, it->second);
-      qp.pending.erase(it);
+Status NvmeDriver::submit_core(std::span<const IoRequest> requests,
+                               std::uint16_t qid,
+                               std::span<Prepared> prepared) {
+  if (qid == 0 || qid > io_queues_.size()) {
+    return invalid_argument("bad I/O qid " + std::to_string(qid));
+  }
+  QueuePair& qp = queue(qid);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    auto resolved = resolve_method(requests[i], qid);
+    Status status = resolved.status();
+    if (status.is_ok()) {
+      status = prepare(requests[i], qid, *resolved, prepared[i]);
     }
-    qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
-  };
+    if (!status.is_ok()) {
+      abandon(qp, prepared.first(i));
+      return status;
+    }
+  }
+  return publish(qp, prepared);
+}
 
-  SubmitMarks marks;
+Status NvmeDriver::publish(QueuePair& qp, std::span<Prepared> prepared) {
+  const std::uint16_t qid = qp.sq->qid();
+  std::size_t i = 0;
+  int idle_spins = 0;
   const Nanoseconds publish_start = link_.clock().now();
-  switch (method) {
-    case TransferMethod::kPrp:
-    case TransferMethod::kSgl: {
-      const Status status = submit_plain(qp, sqe, &marks);
+  while (i < prepared.size()) {
+    if (prepared[i].slots == 0) {
+      // BandSlim: header + serialized fragment commands, one doorbell
+      // each by construction (§3.2) — it can never share a bell.
+      Prepared& prep = prepared[i];
+      qp.commands.increment();
+      total_commands_.increment();
+      SubmitMarks marks;
+      const Status status = submit_bandslim(qp, prep.sqe, *prep.request,
+                                            &marks);
       if (!status.is_ok()) {
-        abandon();
+        abandon(qp, prepared.subspan(i));
         return status;
       }
-      break;
+      prep.slot_wait_ns = marks.slot_wait_ns;
+      prep.push_end_ns = marks.push_end_ns;
+      prep.bell_end_ns = marks.bell_end_ns;
+      record_submitted(qp, prepared.subspan(i, 1));
+      ++i;
+      continue;
     }
-    case TransferMethod::kByteExpress:
-    case TransferMethod::kByteExpressOoo: {
-      // Wait for ring space if the queue is saturated with inline chunks.
-      int idle_spins = 0;
-      while (!submit_inline_locked(qp, sqe, request.write_data, &marks)) {
-        poll_completions(qid);
-        if (pump_once()) {
-          idle_spins = 0;
-        } else if (++idle_spins > 10000) {
-          abandon();
-          return resource_exhausted("SQ too shallow for inline payload");
+    const std::size_t run_first = i;
+    {
+      // §3.3.2: every command of the run and its chunks are inserted under
+      // one hold of the SQ lock, so the entries are consecutive and in
+      // order.
+      SqGuard guard(*qp.sq);
+      const Nanoseconds start = link_.clock().now();
+      std::uint64_t run_entries = 0;
+      std::uint8_t bell_flags = 0;
+      while (i < prepared.size() && prepared[i].slots > 0 &&
+             qp.sq->free_slots() >= prepared[i].slots) {
+        Prepared& prep = prepared[i];
+        // Every command of the run secured its slots when the run's lock
+        // hold began; time since publish start is ring backpressure (the
+        // reap/pump drains between runs).
+        prep.slot_wait_ns =
+            static_cast<std::uint64_t>(start - publish_start);
+        push_command_locked(qp, prep.sqe, prep.inline_payload);
+        prep.push_end_ns = link_.clock().now();
+        run_entries += prep.slots;
+        bell_flags |= prep.submit_flags & obs::kFlagOooCommand;
+        ++i;
+      }
+      if (i > run_first) {
+        qp.sq_occupancy.set(qp.sq->occupancy());
+        last_submit_cost_ns_.store(link_.clock().now() - start,
+                                   std::memory_order_relaxed);
+        // Counted before the bell so the doorbells/kop gauge it updates
+        // divides by every command it publishes.
+        qp.commands.add(i - run_first);
+        total_commands_.add(i - run_first);
+        // ONE doorbell covers every command and chunk of the run, rung
+        // before the lock drops: if it moved outside, a submitter that
+        // pushed a later tail could ring first and a stale earlier tail
+        // would then regress the BAR register, hiding entries.
+        ring_sq_traced(qid, qp.sq->tail(), run_entries, prepared[i - 1].cid,
+                       bell_flags);
+        // The shared bell closes every command's coalescing hold: a
+        // command pushed early in the run waited under the bell while the
+        // rest of the run was laid down (kBellHold).
+        const Nanoseconds bell_end = link_.clock().now();
+        for (std::size_t j = run_first; j < i; ++j) {
+          prepared[j].bell_end_ns = bell_end;
         }
       }
-      // Backpressure spent in the retry loop above = time from the first
-      // attempt until ring space was finally secured.
-      marks.slot_wait_ns = marks.acquire_ns >= publish_start
-                               ? static_cast<std::uint64_t>(
-                                     marks.acquire_ns - publish_start)
-                               : 0;
-      break;
     }
-    case TransferMethod::kBandSlim: {
-      const Status status = submit_bandslim(qp, sqe, request, &marks);
-      if (!status.is_ok()) {
-        abandon();
-        return status;
+    if (i > run_first) {
+      idle_spins = 0;
+      batches_.increment();
+      if (batch_size_metric_ != nullptr) {
+        batch_size_metric_->record(i - run_first);
       }
-      break;
+      record_submitted(qp, prepared.subspan(run_first, i - run_first));
+      continue;
     }
-    case TransferMethod::kHybrid:
-    case TransferMethod::kAuto:
-      return internal_error("unreachable");
-  }
-  {
-    // Publish the attribution marks into the registered pending. The
-    // device may already have completed the command (reap sets done but
-    // never erases; only the waiter erases, and the handle has not been
-    // returned yet), so the entry is still present.
-    std::lock_guard<std::mutex> lock(qp.pending_mutex);
-    auto it = qp.pending.find(cid);
-    if (it != qp.pending.end()) {
-      it->second.slot_wait_ns = marks.slot_wait_ns;
-      it->second.push_end_ns = marks.push_end_ns;
-      it->second.bell_end_ns = marks.bell_end_ns;
+    // The next command does not fit: reap and let the device drain,
+    // bounded so a wedged device surfaces as an error, not a hang.
+    poll_completions(qid);
+    if (pump_once()) {
+      idle_spins = 0;
+    } else if (++idle_spins > 10000) {
+      abandon(qp, prepared.subspan(i));
+      return resource_exhausted("SQ full and device made no progress");
     }
   }
+  return Status::ok();
+}
 
-  if (telemetry_ != nullptr && is_write_direction(request.opcode)) {
-    telemetry_->on_payload(request.write_data.size());
-  }
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    obs::TraceEvent event;
-    event.stage = obs::TraceStage::kSubmit;
-    event.start = submit_time;
-    event.end = link_.clock().now();
-    event.qid = qid;
-    event.cid = cid;
-    event.tenant = request.tenant;
-    event.aux = static_cast<std::uint64_t>(method);
-    event.bytes = request.write_data.size();
-    event.flags = submit_flags;
-    if (method == TransferMethod::kByteExpressOoo) {
-      event.flags |= obs::kFlagOooCommand;
+void NvmeDriver::record_submitted(QueuePair& qp,
+                                  std::span<const Prepared> run) {
+  {
+    // Publish the attribution marks into the registered pendings. The
+    // device may already have completed a command (reap sets done but
+    // never erases; only the waiter erases, and no handle has been
+    // returned yet), so every entry is still present.
+    std::lock_guard<std::mutex> lock(qp.pending_mutex);
+    for (const Prepared& prep : run) {
+      auto it = qp.pending.find(prep.cid);
+      if (it == qp.pending.end()) continue;
+      it->second.slot_wait_ns = prep.slot_wait_ns;
+      it->second.push_end_ns = prep.push_end_ns;
+      it->second.bell_end_ns = prep.bell_end_ns;
     }
-    tracer_->record(event);
   }
-  if (submissions_metric_ != nullptr) {
-    submissions_metric_->increment();
+  for (const Prepared& prep : run) {
+    const IoRequest& request = *prep.request;
+    if (telemetry_ != nullptr && is_write_direction(request.opcode)) {
+      telemetry_->on_payload(request.write_data.size());
+    }
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      obs::TraceEvent event;
+      event.stage = obs::TraceStage::kSubmit;
+      event.start = prep.submit_time;
+      event.end = prep.bell_end_ns;
+      event.flags = prep.submit_flags;
+      event.qid = qp.sq->qid();
+      event.cid = prep.cid;
+      event.tenant = request.tenant;
+      event.aux = static_cast<std::uint64_t>(prep.resolved.method);
+      event.bytes = request.write_data.size();
+      tracer_->record(event);
+    }
+    if (submissions_metric_ != nullptr) submissions_metric_->increment();
+  }
+  if (submit_cost_metric_ != nullptr) {
     submit_cost_metric_->record(
         static_cast<std::uint64_t>(last_submit_cost()));
   }
-  qp.commands.increment();
-  total_commands_.increment();
+}
 
-  Submitted handle;
-  handle.qid = qid;
-  handle.cid = cid;
-  handle.submit_time_ns = submit_time;
-  return handle;
+void NvmeDriver::abandon(QueuePair& qp, std::span<const Prepared> prepared) {
+  std::lock_guard<std::mutex> lock(qp.pending_mutex);
+  for (const Prepared& prep : prepared) {
+    auto it = qp.pending.find(prep.cid);
+    if (it == qp.pending.end()) continue;
+    gate_release(it->second, /*completed=*/false);
+    release_read_slots(qp, it->second);
+    qp.pending.erase(it);
+  }
+  qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
 }
 
 StatusOr<Submitted> NvmeDriver::submit(const IoRequest& request,
                                        std::uint16_t qid) {
-  if (qid == 0 || qid > io_queues_.size()) {
-    return invalid_argument("bad I/O qid " + std::to_string(qid));
-  }
-  auto resolved = resolve_method(request, qid);
-  BX_RETURN_IF_ERROR(resolved.status());
-  std::uint8_t flags = 0;
-  if (resolved->feasibility_fallback || resolved->degraded) {
-    flags = obs::kFlagMethodFallback;
-  }
-  if (resolved->auto_decided) flags |= obs::kFlagAutoPolicy;
-  if (resolved->feasibility_fallback) inline_fallbacks_.increment();
-  return submit_with_method(request, qid, *resolved, flags);
+  Prepared prep;
+  BX_RETURN_IF_ERROR(submit_core({&request, 1}, qid, {&prep, 1}));
+  return Submitted{qid, prep.cid, prep.submit_time};
 }
 
 void NvmeDriver::consume_inline_read_locked(QueuePair& qp,
@@ -1347,22 +1371,12 @@ void NvmeDriver::reap_one(QueuePair& qp,
 
 StatusOr<Completion> NvmeDriver::execute(const IoRequest& request,
                                          std::uint16_t qid) {
-  if (qid == 0 || qid > io_queues_.size()) {
-    return invalid_argument("bad I/O qid " + std::to_string(qid));
-  }
-  auto resolved = resolve_method(request, qid);
-  BX_RETURN_IF_ERROR(resolved.status());
-  std::uint8_t flags = 0;
-  if (resolved->feasibility_fallback || resolved->degraded) {
-    flags = obs::kFlagMethodFallback;
-  }
-  if (resolved->auto_decided) flags |= obs::kFlagAutoPolicy;
-  if (resolved->feasibility_fallback) inline_fallbacks_.increment();
-  auto handle = submit_with_method(request, qid, *resolved, flags);
-  BX_RETURN_IF_ERROR(handle.status());
-  auto completion = wait(*handle);
+  Prepared prep;
+  BX_RETURN_IF_ERROR(submit_core({&request, 1}, qid, {&prep, 1}));
+  auto completion = wait(Submitted{qid, prep.cid, prep.submit_time});
   BX_RETURN_IF_ERROR(completion.status());
-  return finish_with_retries(request, qid, *std::move(completion), *resolved);
+  return finish_with_retries(request, qid, *std::move(completion),
+                             prep.resolved);
 }
 
 StatusOr<Completion> NvmeDriver::finish_with_retries(const IoRequest& request,
@@ -1444,18 +1458,11 @@ StatusOr<Completion> NvmeDriver::finish_with_retries(const IoRequest& request,
       faults_failed_.add(failed_attempts);
       return status;
     };
-    auto next_resolved = resolve_method(request, qid);
-    if (!next_resolved.is_ok()) return fail_with(next_resolved.status());
-    resolved = *next_resolved;
-    std::uint8_t flags = 0;
-    if (resolved.feasibility_fallback || resolved.degraded) {
-      flags = obs::kFlagMethodFallback;
-    }
-    if (resolved.auto_decided) flags |= obs::kFlagAutoPolicy;
-    if (resolved.feasibility_fallback) inline_fallbacks_.increment();
-    auto handle = submit_with_method(request, qid, resolved, flags);
-    if (!handle.is_ok()) return fail_with(handle.status());
-    auto next = wait(*handle);
+    Prepared retry;
+    const Status submitted = submit_core({&request, 1}, qid, {&retry, 1});
+    if (!submitted.is_ok()) return fail_with(submitted);
+    resolved = retry.resolved;
+    auto next = wait(Submitted{qid, retry.cid, retry.submit_time});
     if (!next.is_ok()) return fail_with(next.status());
     completion = *std::move(next);
   }
@@ -1467,333 +1474,18 @@ StatusOr<NvmeDriver::BatchResult> NvmeDriver::submit_batch(
     return invalid_argument("bad I/O qid " + std::to_string(qid));
   }
   if (requests.empty()) return invalid_argument("empty batch");
-  QueuePair& qp = queue(qid);
   const std::uint64_t bar_db_before = bar_.sq_doorbell_writes(qid);
+  std::vector<Prepared> prepared(requests.size());
+  BX_RETURN_IF_ERROR(submit_core(requests, qid, prepared));
+  batched_commands_.add(requests.size());
 
-  // ---- phase 1: prepare every request outside the ring lock — method
-  // resolution, geometry validation, PRP/SGL staging, CID registration.
-  struct Prepared {
-    nvme::SubmissionQueueEntry sqe{};
-    const IoRequest* request = nullptr;
-    ResolvedMethod resolved{};
-    std::uint8_t submit_flags = 0;
-    /// Ring slots (SQE + inline chunks); 0 marks a BandSlim request,
-    /// which cannot coalesce and goes through its serialized path.
-    std::uint32_t slots = 0;
-    ConstByteSpan inline_payload{};
-    Nanoseconds submit_time = 0;
-    std::uint16_t cid = 0;
-    /// Attribution marks gathered during phase 2 and published into the
-    /// registered Pending once the whole batch is on the ring.
-    std::uint64_t slot_wait_ns = 0;
-    Nanoseconds push_end_ns = 0;
-    Nanoseconds bell_end_ns = 0;
-  };
-  std::vector<Prepared> prepared;
-  prepared.reserve(requests.size());
-
-  // Registered-but-unsubmitted pendings must not leak on an error exit
-  // (and their gate admissions must be paid back).
-  const auto abandon_from = [&](std::size_t first_unsubmitted) {
-    std::lock_guard<std::mutex> lock(qp.pending_mutex);
-    for (std::size_t j = first_unsubmitted; j < prepared.size(); ++j) {
-      auto it = qp.pending.find(prepared[j].cid);
-      if (it == qp.pending.end()) continue;
-      gate_release(it->second, /*completed=*/false);
-      release_read_slots(qp, it->second);
-      qp.pending.erase(it);
-    }
-    qp.inflight.set(static_cast<std::int64_t>(qp.pending.size()));
-  };
-
-  for (const IoRequest& request : requests) {
-    Prepared prep;
-    prep.request = &request;
-    auto resolved = resolve_method(request, qid);
-    if (!resolved.is_ok()) {
-      abandon_from(0);
-      return resolved.status();
-    }
-    prep.resolved = *resolved;
-    if (prep.resolved.feasibility_fallback || prep.resolved.degraded) {
-      prep.submit_flags = obs::kFlagMethodFallback;
-    }
-    if (prep.resolved.auto_decided) {
-      prep.submit_flags |= obs::kFlagAutoPolicy;
-    }
-    if (prep.resolved.feasibility_fallback) inline_fallbacks_.increment();
-
-    if (request.opcode == nvme::IoOpcode::kWrite &&
-        request.write_data.size() !=
-            std::uint64_t{request.block_count} * kBlockSize) {
-      abandon_from(0);
-      return invalid_argument("write_data must be block_count * 4096 bytes");
-    }
-    if (request.opcode == nvme::IoOpcode::kRead &&
-        request.read_buffer.size() !=
-            std::uint64_t{request.block_count} * kBlockSize) {
-      abandon_from(0);
-      return invalid_argument("read_buffer must be block_count * 4096 bytes");
-    }
-
-    prep.sqe = build_base_sqe(request);
-    Pending pending;
-    // Same backdating rule as the unbatched path: a reactor-posted request
-    // measures (and attributes) its MPSC-ring residency as kRingWait.
-    const Nanoseconds entry_time = link_.clock().now();
-    prep.submit_time =
-        request.origin_ns != 0 && request.origin_ns <= entry_time
-            ? request.origin_ns
-            : entry_time;
-    pending.submit_time_ns = prep.submit_time;
-    pending.ring_wait_ns =
-        static_cast<std::uint64_t>(entry_time - prep.submit_time);
-    pending.method = prep.resolved.method;
-    pending.tenant = request.tenant;
-    if (config_.command_timeout_ns > 0) {
-      pending.deadline_ns = entry_time + config_.command_timeout_ns;
-    }
-
-    // ByteExpress-R reservation, same point in the lifecycle as the
-    // unbatched path; a full ring falls back to the resolved PRP/SGL
-    // staging below.
-    if (prep.resolved.inline_read) {
-      const std::uint32_t chunks =
-          inr::read_chunks_for(read_length_of(request));
-      if (reserve_read_slots(qp, chunks)) {
-        pending.inline_read = true;
-        pending.read_slots_reserved = chunks;
-        inline_read_attempts_.increment();
-        inr::mark_sqe_inline_read(prep.sqe);
-        pending.read_target = request.read_buffer;
-        pending.read_length =
-            static_cast<std::uint32_t>(read_length_of(request));
-      } else {
-        prep.resolved.inline_read = false;
-        inline_read_fallbacks_.increment();
-        prep.submit_flags |= obs::kFlagMethodFallback;
-      }
-    }
-
-    if (pending.inline_read) {
-      // Bare SQE; the payload returns through the completion ring.
-      prep.slots = 1;
-    } else {
-      switch (prep.resolved.method) {
-        case TransferMethod::kPrp: {
-          const Status status =
-              attach_data_prp(qp, prep.sqe, pending, request);
-          if (!status.is_ok()) {
-            abandon_from(0);
-            return status;
-          }
-          prep.slots = 1;
-          break;
-        }
-        case TransferMethod::kSgl: {
-          const Status status =
-              attach_data_sgl(qp, prep.sqe, pending, request);
-          if (!status.is_ok()) {
-            abandon_from(0);
-            return status;
-          }
-          prep.slots = 1;
-          break;
-        }
-        case TransferMethod::kByteExpress:
-        case TransferMethod::kByteExpressOoo: {
-          prep.sqe.set_inline_length(
-              static_cast<std::uint32_t>(request.write_data.size()));
-          std::uint32_t chunks;
-          if (prep.resolved.method == TransferMethod::kByteExpressOoo) {
-            nvme::inline_chunk::mark_sqe_ooo(prep.sqe,
-                                             allocate_payload_id());
-            chunks = nvme::inline_chunk::ooo_chunks_for(
-                request.write_data.size());
-          } else {
-            chunks = nvme::inline_chunk::raw_chunks_for(
-                request.write_data.size());
-          }
-          prep.inline_payload = request.write_data;
-          prep.slots = 1 + chunks;
-          break;
-        }
-        case TransferMethod::kBandSlim:
-          prep.slots = 0;
-          break;
-        case TransferMethod::kHybrid:
-        case TransferMethod::kAuto:
-          abandon_from(0);
-          return internal_error(
-              "hybrid/auto must be resolved before submission");
-      }
-    }
-
-    // Per-command admission, same point in the lifecycle as the unbatched
-    // path: after staging, before the command can claim ring slots. A
-    // rejection fails the whole batch before anything is published
-    // (preparation is all-or-nothing), releasing the earlier commands'
-    // admissions.
-    const Nanoseconds gate_start = link_.clock().now();
-    const Status admitted = gate_admit(request, qid, prep.resolved, pending);
-    if (!admitted.is_ok()) {
-      release_read_slots(qp, pending);
-      abandon_from(0);
-      return admitted;
-    }
-    pending.gate_wait_ns =
-        static_cast<std::uint64_t>(link_.clock().now() - gate_start);
-
-    prep.cid = register_pending(qp, std::move(pending));
-    prep.sqe.cid = prep.cid;
-    prepared.push_back(prep);
-  }
-
-  // Per-command bookkeeping (trace, telemetry, counters) happens once per
-  // command regardless of how many doorbells the batch ends up needing.
-  for (const Prepared& prep : prepared) {
-    const IoRequest& request = *prep.request;
-    if (telemetry_ != nullptr && is_write_direction(request.opcode)) {
-      telemetry_->on_payload(request.write_data.size());
-    }
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      obs::TraceEvent event;
-      event.stage = obs::TraceStage::kSubmit;
-      event.start = prep.submit_time;
-      event.end = link_.clock().now();
-      event.qid = qid;
-      event.cid = prep.cid;
-      event.tenant = request.tenant;
-      event.aux = static_cast<std::uint64_t>(prep.resolved.method);
-      event.bytes = request.write_data.size();
-      event.flags = prep.submit_flags;
-      if (prep.resolved.method == TransferMethod::kByteExpressOoo) {
-        event.flags |= obs::kFlagOooCommand;
-      }
-      tracer_->record(event);
-    }
-    if (submissions_metric_ != nullptr) submissions_metric_->increment();
-    qp.commands.increment();
-    total_commands_.increment();
-    batched_commands_.increment();
-  }
-
-  // ---- phase 2: lay the SQEs plus their inline chunk runs back-to-back
-  // under one lock hold and publish each contiguous run with a single
-  // doorbell MWr. Ring backpressure (or a BandSlim request) ends a run;
-  // the remainder coalesces under the next bell.
   BatchResult result;
   result.handles.reserve(requests.size());
   result.resolved.reserve(requests.size());
-  std::size_t i = 0;
-  int idle_spins = 0;
-  const Nanoseconds phase2_start = link_.clock().now();
-  while (i < prepared.size()) {
-    if (prepared[i].slots == 0) {
-      // BandSlim: header + serialized fragment commands, one doorbell
-      // each by construction (§3.2) — it can never share a bell.
-      SubmitMarks marks;
-      const Status status =
-          submit_bandslim(qp, prepared[i].sqe, *prepared[i].request, &marks);
-      if (!status.is_ok()) {
-        abandon_from(i);
-        return status;
-      }
-      prepared[i].slot_wait_ns = marks.slot_wait_ns;
-      prepared[i].push_end_ns = marks.push_end_ns;
-      prepared[i].bell_end_ns = marks.bell_end_ns;
-      ++i;
-      continue;
-    }
-    std::uint64_t run_entries = 0;
-    std::uint64_t run_commands = 0;
-    {
-      SqGuard guard(*qp.sq);
-      const Nanoseconds start = link_.clock().now();
-      const std::size_t run_first = i;
-      std::uint16_t last_cid = 0;
-      std::uint8_t bell_flags = 0;
-      while (i < prepared.size() && prepared[i].slots > 0 &&
-             qp.sq->free_slots() >= prepared[i].slots) {
-        Prepared& prep = prepared[i];
-        // Every command of the run secured its slots when the run's lock
-        // hold began; time since phase-2 start is ring backpressure (the
-        // reap/pump drains between runs).
-        prep.slot_wait_ns =
-            static_cast<std::uint64_t>(start - phase2_start);
-        push_command_locked(qp, prep.sqe, prep.inline_payload);
-        prep.push_end_ns = link_.clock().now();
-        run_entries += prep.slots;
-        ++run_commands;
-        last_cid = prep.cid;
-        if (prep.resolved.method == TransferMethod::kByteExpressOoo) {
-          bell_flags |= obs::kFlagOooCommand;
-        }
-        ++i;
-      }
-      if (run_commands > 0) {
-        qp.sq_occupancy.set(qp.sq->occupancy());
-        last_submit_cost_ns_.store(link_.clock().now() - start,
-                                   std::memory_order_relaxed);
-        // ONE doorbell covers every command and chunk of the run, rung
-        // before the lock drops (tail-regression rule unchanged).
-        ring_sq_traced(qid, qp.sq->tail(), run_entries, last_cid,
-                       bell_flags);
-        // The shared bell closes every command's coalescing hold: a
-        // command pushed early in the run waited under the bell while the
-        // rest of the run was laid down (kBellHold).
-        const Nanoseconds bell_end = link_.clock().now();
-        for (std::size_t j = run_first; j < i; ++j) {
-          prepared[j].bell_end_ns = bell_end;
-        }
-      }
-    }
-    if (run_commands > 0) {
-      idle_spins = 0;
-      batches_.increment();
-      if (batch_size_metric_ != nullptr) {
-        batch_size_metric_->record(run_commands);
-      }
-      if (submit_cost_metric_ != nullptr) {
-        submit_cost_metric_->record(
-            static_cast<std::uint64_t>(last_submit_cost()));
-      }
-      result.entries += run_entries;
-    } else if (i < prepared.size() && prepared[i].slots > 0) {
-      // The next command does not fit: reap and let the device drain,
-      // bounded so a wedged device surfaces as an error, not a hang.
-      poll_completions(qid);
-      if (pump_once()) {
-        idle_spins = 0;
-      } else if (++idle_spins > 10000) {
-        abandon_from(i);
-        return resource_exhausted(
-            "SQ full and device made no progress during batch");
-      }
-    }
-  }
-
-  {
-    // Publish the attribution marks into the registered pendings under one
-    // lock hold. Completions may already be reaped (done set) but never
-    // erased — only the waiter erases, and no handle has been returned.
-    std::lock_guard<std::mutex> lock(qp.pending_mutex);
-    for (const Prepared& prep : prepared) {
-      auto it = qp.pending.find(prep.cid);
-      if (it == qp.pending.end()) continue;
-      it->second.slot_wait_ns = prep.slot_wait_ns;
-      it->second.push_end_ns = prep.push_end_ns;
-      it->second.bell_end_ns = prep.bell_end_ns;
-    }
-  }
-
   for (const Prepared& prep : prepared) {
-    Submitted handle;
-    handle.qid = qid;
-    handle.cid = prep.cid;
-    handle.submit_time_ns = prep.submit_time;
-    result.handles.push_back(handle);
+    result.handles.push_back(Submitted{qid, prep.cid, prep.submit_time});
     result.resolved.push_back(prep.resolved);
+    result.entries += prep.slots;
   }
   result.doorbells = bar_.sq_doorbell_writes(qid) - bar_db_before;
   return result;
@@ -1805,17 +1497,27 @@ StatusOr<std::vector<Completion>> NvmeDriver::execute_batch(
   BX_RETURN_IF_ERROR(batch.status());
   std::vector<Completion> completions;
   completions.reserve(requests.size());
+  Status first_error;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    auto first = wait(batch->handles[i]);
-    BX_RETURN_IF_ERROR(first.status());
     // The shared retry tail: a fault on command i recovers (or degrades,
     // or fails) exactly as execute() would, without touching the other
     // commands of the batch.
-    auto final_completion = finish_with_retries(
-        requests[i], qid, *std::move(first), batch->resolved[i]);
-    BX_RETURN_IF_ERROR(final_completion.status());
-    completions.push_back(*std::move(final_completion));
+    auto completion = wait(batch->handles[i]);
+    if (completion.is_ok()) {
+      completion = finish_with_retries(requests[i], qid,
+                                       *std::move(completion),
+                                       batch->resolved[i]);
+    }
+    // An error on command i must not strand the rest of the batch: every
+    // later handle is still waited, so its pending entry, gate admission
+    // and read-ring reservation are released before the error surfaces.
+    if (!completion.is_ok()) {
+      if (first_error.is_ok()) first_error = completion.status();
+      continue;
+    }
+    completions.push_back(*std::move(completion));
   }
+  BX_RETURN_IF_ERROR(first_error);
   return completions;
 }
 
@@ -1902,46 +1604,27 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
     }
   }
 
-  QueuePair& home = queue(qids.front());
-  nvme::SubmissionQueueEntry sqe = build_base_sqe(request);
-  sqe.set_inline_length(static_cast<std::uint32_t>(request.write_data.size()));
-  const std::uint32_t payload_id = allocate_payload_id();
-  nvme::inline_chunk::mark_sqe_ooo(sqe, payload_id);
-
-  Pending initial;
-  initial.submit_time_ns = link_.clock().now();
-  initial.method = TransferMethod::kByteExpressOoo;
-  initial.tenant = request.tenant;
-  if (config_.command_timeout_ns > 0) {
-    initial.deadline_ns = initial.submit_time_ns + config_.command_timeout_ns;
-  }
+  const std::uint16_t home_qid = qids.front();
+  QueuePair& home = queue(home_qid);
   ResolvedMethod striped;
   striped.method = TransferMethod::kByteExpressOoo;
-  const Nanoseconds gate_start = link_.clock().now();
-  BX_RETURN_IF_ERROR(gate_admit(request, qids.front(), striped, initial));
-  initial.gate_wait_ns =
-      static_cast<std::uint64_t>(link_.clock().now() - gate_start);
-  const std::uint16_t cid = register_pending(home, std::move(initial));
-  sqe.cid = cid;
+  Prepared prep;
+  BX_RETURN_IF_ERROR(prepare(request, home_qid, striped, prep));
+  const std::uint32_t payload_id =
+      nvme::inline_chunk::sqe_ooo_payload_id(prep.sqe);
+  const std::uint32_t chunks = prep.slots - 1;
 
-  // Undoes the registration (and pays back the gate admission) on the
-  // refusal paths below, before anything was published.
-  const auto abandon = [this, &home, cid] {
-    std::lock_guard<std::mutex> plock(home.pending_mutex);
-    auto it = home.pending.find(cid);
-    if (it != home.pending.end()) {
-      gate_release(it->second, /*completed=*/false);
-      home.pending.erase(it);
-    }
-    home.inflight.set(static_cast<std::int64_t>(home.pending.size()));
-  };
+  // Entries this submission publishes per distinct stripe queue, in
+  // ascending qid order (the lock order): the command on the home queue,
+  // chunks round-robin over the (possibly repeating) stripe list. The
+  // same counts drive the capacity check and the doorbells.
+  std::map<std::uint16_t, std::uint32_t> published;
+  for (const std::uint16_t qid : qids) published[qid] = 0;
+  ++published[home_qid];
+  for (std::uint32_t i = 0; i < chunks; ++i) {
+    ++published[qids[i % qids.size()]];
+  }
 
-  const Nanoseconds submit_time = link_.clock().now();
-  const std::uint32_t chunks =
-      nvme::inline_chunk::ooo_chunks_for(request.write_data.size());
-
-  Nanoseconds stripe_push_end = 0;
-  Nanoseconds stripe_bell_end = 0;
   {
     // Hold every stripe queue's SQ lock for the whole capacity check +
     // push + doorbell sequence, acquired in ascending qid order (the one
@@ -1949,12 +1632,9 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
     // header). This keeps the capacity check atomic with the pushes under
     // concurrent submitters, and rings each doorbell before its lock
     // drops.
-    std::vector<std::uint16_t> ordered(qids);
-    std::sort(ordered.begin(), ordered.end());
-    ordered.erase(std::unique(ordered.begin(), ordered.end()), ordered.end());
     std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(ordered.size());
-    for (const std::uint16_t qid : ordered) {
+    locks.reserve(published.size());
+    for (const auto& [qid, entries] : published) {
       locks.emplace_back(queue(qid).sq->lock());
     }
     // Exclusively-owned queues elide their SQ lock on the owner path, so
@@ -1963,35 +1643,27 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
     // claim_exclusive() that raced the acquisition above is still seen;
     // claiming a queue after this point while the stripe submit is in
     // flight violates the reactor ownership contract (see the header).
-    for (const std::uint16_t qid : ordered) {
+    // Striped queues that carry only chunks never receive CQEs, so the
+    // host's head cache can lag — a queue without room for its summed
+    // share surfaces as backpressure instead of overrunning the ring.
+    for (const auto& [qid, entries] : published) {
       if (queue(qid).sq->exclusive_owner()) {
-        abandon();
+        abandon(home, {&prep, 1});
         return failed_precondition(
             "stripe queue " + std::to_string(qid) +
             " is exclusively owned by a reactor");
       }
     }
-
-    // Capacity check: the command occupies one slot on the home queue, and
-    // the chunks round-robin across the stripe set. Unlike the queue-local
-    // path, striped queues that carry only chunks never receive CQEs, so
-    // the host's head cache can lag — surface that as backpressure instead
-    // of overrunning a ring.
-    for (std::size_t j = 0; j < qids.size(); ++j) {
-      std::uint32_t need = chunks / qids.size() +
-                           (j < chunks % qids.size() ? 1 : 0);
-      if (j == 0) ++need;  // the command itself
-      if (queue(qids[j]).sq->free_slots() < need) {
-        abandon();
-        return resource_exhausted("stripe queue " +
-                                  std::to_string(qids[j]) + " lacks space");
+    for (const auto& [qid, entries] : published) {
+      if (queue(qid).sq->free_slots() < entries) {
+        abandon(home, {&prep, 1});
+        return resource_exhausted("stripe queue " + std::to_string(qid) +
+                                  " lacks space");
       }
     }
 
-    // Command into the home queue.
-    link_.clock().advance(config_.timing.sqe_insert_ns);
-    home.sq->push_slot(sqe_bytes(sqe));
-
+    const Nanoseconds start = link_.clock().now();
+    push_command_locked(home, prep.sqe, {});
     // Chunks striped round-robin across the whole queue set.
     std::size_t offset = 0;
     for (std::uint32_t i = 0; i < chunks; ++i) {
@@ -2007,68 +1679,25 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
       target.sq->push_slot({slot.raw, sizeof(slot.raw)});
       offset += take;
     }
-    last_submit_cost_ns_.store(link_.clock().now() - submit_time,
+    last_submit_cost_ns_.store(link_.clock().now() - start,
                                std::memory_order_relaxed);
-    stripe_push_end = link_.clock().now();
-
-    // Entries published per queue by this submission: the command on the
-    // home queue, chunks round-robin over the (possibly repeating) stripe
-    // list.
-    std::unordered_map<std::uint16_t, std::uint64_t> published;
-    published[qids.front()] += 1;
-    for (std::uint32_t i = 0; i < chunks; ++i) {
-      published[qids[i % qids.size()]] += 1;
-    }
+    prep.push_end_ns = link_.clock().now();
+    home.commands.increment();
+    total_commands_.increment();
 
     // One doorbell per touched queue, rung while the locks are held.
-    for (const std::uint16_t qid : ordered) {
+    for (const auto& [qid, entries] : published) {
       QueuePair& touched = queue(qid);
       touched.sq_occupancy.set(touched.sq->occupancy());
-      ring_sq_traced(qid, touched.sq->tail(), published[qid], cid,
+      ring_sq_traced(qid, touched.sq->tail(), entries, prep.cid,
                      obs::kFlagOooCommand);
     }
     // The command is only fully handed off once every stripe queue's bell
     // has rung; until then the earlier bells coalesce under the lock hold.
-    stripe_bell_end = link_.clock().now();
+    prep.bell_end_ns = link_.clock().now();
   }
-  {
-    std::lock_guard<std::mutex> plock(home.pending_mutex);
-    auto it = home.pending.find(cid);
-    if (it != home.pending.end()) {
-      it->second.push_end_ns = stripe_push_end;
-      it->second.bell_end_ns = stripe_bell_end;
-    }
-  }
-
-  if (telemetry_ != nullptr) {
-    telemetry_->on_payload(request.write_data.size());
-  }
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    obs::TraceEvent event;
-    event.stage = obs::TraceStage::kSubmit;
-    event.start = submit_time;
-    event.end = link_.clock().now();
-    event.flags = obs::kFlagOooCommand;
-    event.qid = qids.front();
-    event.cid = cid;
-    event.tenant = request.tenant;
-    event.aux = static_cast<std::uint64_t>(TransferMethod::kByteExpressOoo);
-    event.bytes = request.write_data.size();
-    tracer_->record(event);
-  }
-  if (submissions_metric_ != nullptr) {
-    submissions_metric_->increment();
-    submit_cost_metric_->record(
-        static_cast<std::uint64_t>(last_submit_cost()));
-  }
-  home.commands.increment();
-  total_commands_.increment();
-
-  Submitted handle;
-  handle.qid = qids.front();
-  handle.cid = cid;
-  handle.submit_time_ns = submit_time;
-  return wait(handle);
+  record_submitted(home, {&prep, 1});
+  return wait(Submitted{home_qid, prep.cid, prep.submit_time});
 }
 
 StatusOr<Completion> NvmeDriver::execute_admin(

@@ -3,10 +3,13 @@
 // This is the analog of the Linux kernel PCIe NVMe driver the paper patched:
 // queue management, the nvme_queue_rq() submission path with its per-SQ
 // lock, PRP/SGL construction, and the passthrough execute() entry point.
-// The ByteExpress host-side change lives in submit_inline_locked(): while
-// holding the SQ lock it pushes the command (with the payload length
-// re-encoded into the reserved CDW2) and then the payload itself as
-// consecutive 64-byte SQ slots, then rings the doorbell once (§3.3).
+// Every I/O submission runs through one core: prepare() readies each
+// command outside the ring lock, and publish() lays the commands on the
+// ring in coalesced runs. The ByteExpress host-side change is publish()'s
+// locked run push: while holding the SQ lock it pushes the command (with
+// the payload length re-encoded into the reserved CDW2) and then the
+// payload itself as consecutive 64-byte SQ slots, then rings the doorbell
+// once (§3.3). A single execute() is a run of one.
 //
 // The driver is transport only — it never interprets vendor command
 // semantics; that is the device's job.
@@ -33,9 +36,9 @@
 // MPSC ring. execute_ooo_striped() must never include a claimed queue
 // in its stripe set.
 //
-// Batched submission (§3.3 doorbell coalescing): submit_batch() prepares
-// every request of a batch, then lays the SQEs and their inline chunk
-// runs back-to-back in the ring under a single lock hold and rings ONE
+// Batched submission (§3.3 doorbell coalescing): submit_batch() hands a
+// whole batch to the same core, so the SQEs and their inline chunk runs
+// land back-to-back in the ring under a single lock hold with ONE
 // doorbell MWr covering all of them. write_pipeline() slices a large
 // payload into inline commands and keeps `depth` of them per doorbell,
 // the npu-nvme write_pipeline(depth 4-8) shape.
@@ -253,7 +256,8 @@ class NvmeDriver {
   /// Prepares every request (method resolution, PRP/SGL staging, CID
   /// registration) outside the ring lock, then pushes all SQEs plus
   /// their inline chunk runs contiguously under one SQ lock hold and
-  /// rings a single doorbell covering the whole batch. Preparation is
+  /// rings a single doorbell covering the whole batch (submit() and
+  /// execute() run the same core as batches of one). Preparation is
   /// all-or-nothing: a request that fails validation fails the batch
   /// before anything is pushed. BandSlim requests cannot coalesce (their
   /// fragments are serialized commands by construction); they flush the
@@ -265,6 +269,9 @@ class NvmeDriver {
   /// run the same retry/degradation tail as execute() — a fault on
   /// command k of the batch recovers (or degrades, or fails) per the
   /// fault-accounting invariant without disturbing the other commands.
+  /// When a command's wait or retry tail errors, every remaining command
+  /// is still waited (releasing its pending entry, gate admission and
+  /// read-ring reservation) before the first error is returned.
   StatusOr<std::vector<Completion>> execute_batch(
       std::span<const IoRequest> requests, std::uint16_t qid);
 
@@ -303,7 +310,8 @@ class NvmeDriver {
   /// self-describing chunks are striped round-robin across all of `qids`.
   /// Fails with kFailedPrecondition (checked under the stripe locks) when
   /// any stripe queue is exclusively owned by a reactor, and with
-  /// kResourceExhausted when a stripe queue lacks ring space.
+  /// kResourceExhausted when a stripe queue lacks ring space for all the
+  /// entries it would receive (a queue listed twice needs both shares).
   StatusOr<Completion> execute_ooo_striped(
       const IoRequest& request, const std::vector<std::uint16_t>& qids);
 
@@ -413,11 +421,10 @@ class NvmeDriver {
   /// Sim-time marks a submission primitive reports back so the caller can
   /// fill the Pending's attribution fields: backpressure wait spent
   /// inside the call (accumulates across calls — BandSlim fragments), the
-  /// instant ring space was secured, the instant the SQE (+ chunk run)
-  /// was fully pushed, and the instant its doorbell was rung.
+  /// instant the SQE was fully pushed, and the instant its doorbell was
+  /// rung.
   struct SubmitMarks {
     std::uint64_t slot_wait_ns = 0;
-    Nanoseconds acquire_ns = 0;
     Nanoseconds push_end_ns = 0;
     Nanoseconds bell_end_ns = 0;
   };
@@ -492,10 +499,10 @@ class NvmeDriver {
   /// Builds the opcode/nsid/cdw fields common to every method.
   nvme::SubmissionQueueEntry build_base_sqe(const IoRequest& request) const;
 
-  Status attach_data_prp(QueuePair& qp, nvme::SubmissionQueueEntry& sqe,
-                         Pending& pending, const IoRequest& request);
-  Status attach_data_sgl(QueuePair& qp, nvme::SubmissionQueueEntry& sqe,
-                         Pending& pending, const IoRequest& request);
+  Status attach_data_prp(nvme::SubmissionQueueEntry& sqe, Pending& pending,
+                         const IoRequest& request);
+  Status attach_data_sgl(nvme::SubmissionQueueEntry& sqe, Pending& pending,
+                         const IoRequest& request);
 
   /// Atomically allocates a CID unique among `qp`'s in-flight commands and
   /// registers `pending` under it — one pending_mutex hold, so two racing
@@ -522,14 +529,6 @@ class NvmeDriver {
   Status submit_plain(QueuePair& qp, const nvme::SubmissionQueueEntry& sqe,
                       SubmitMarks* marks = nullptr);
 
-  /// The ByteExpress host path: SQE + raw chunks under one lock hold, one
-  /// doorbell (rung before the lock is released). Returns false if the
-  /// ring lacks space; on success fills `marks` (push/bell instants).
-  bool submit_inline_locked(QueuePair& qp,
-                            const nvme::SubmissionQueueEntry& sqe,
-                            ConstByteSpan payload,
-                            SubmitMarks* marks = nullptr);
-
   /// Pushes one SQE and (when `inline_payload` is non-empty) its inline
   /// chunk run at the tail; returns slots pushed. Requires the SQ lock
   /// (or exclusive ownership) and prior free_slots() headroom.
@@ -554,13 +553,54 @@ class NvmeDriver {
                          const IoRequest& request,
                          SubmitMarks* marks = nullptr);
 
-  /// `submit_flags` is OR-ed into the kSubmit trace event's flags
-  /// (kFlagMethodFallback when the method was changed by the driver).
-  /// `resolved.inline_read` may be cleared here (ring-full fallback).
-  StatusOr<Submitted> submit_with_method(const IoRequest& request,
-                                         std::uint16_t qid,
-                                         ResolvedMethod resolved,
-                                         std::uint8_t submit_flags = 0);
+  /// One command made ready for the ring by prepare(): its SQE (CID
+  /// assigned), the ring slots it publishes, and the attribution marks
+  /// publish() gathers for it.
+  struct Prepared {
+    nvme::SubmissionQueueEntry sqe{};
+    const IoRequest* request = nullptr;
+    /// The resolution actually used: inline_read is cleared when the
+    /// completion-ring reservation failed (ring full -> PRP fallback).
+    ResolvedMethod resolved{};
+    /// Flags of the kSubmit trace event (fallback, auto policy, OOO).
+    std::uint8_t submit_flags = 0;
+    /// Ring slots (SQE + inline chunks); 0 marks a BandSlim command,
+    /// which cannot coalesce and goes through its serialized path.
+    std::uint32_t slots = 0;
+    ConstByteSpan inline_payload{};
+    Nanoseconds submit_time = 0;
+    std::uint16_t cid = 0;
+    std::uint64_t slot_wait_ns = 0;
+    Nanoseconds push_end_ns = 0;
+    Nanoseconds bell_end_ns = 0;
+  };
+
+  /// The submission core behind submit(), execute(), every retry and
+  /// submit_batch(): resolves and prepare()s each request into
+  /// `prepared` (caller storage, one per request), then publish()es them
+  /// all. Preparation is all-or-nothing: a request that fails fails the
+  /// call before anything is pushed.
+  Status submit_core(std::span<const IoRequest> requests, std::uint16_t qid,
+                     std::span<Prepared> prepared);
+  /// Once per command, outside the ring lock: geometry validation, the
+  /// base SQE, the Pending (origin backdating, deadline), the
+  /// ByteExpress-R ring reservation, PRP/SGL/inline staging, gate
+  /// admission and CID registration. On error nothing stays charged.
+  Status prepare(const IoRequest& request, std::uint16_t qid,
+                 const ResolvedMethod& resolved, Prepared& prep);
+  /// Lays `prepared` on `qp`'s ring in runs: each run's SQEs and inline
+  /// chunks are pushed under one SQ lock hold and published by ONE
+  /// doorbell. Ring backpressure (bounded reap/pump) ends a run; a
+  /// BandSlim command flushes it and rings its own serialized doorbells.
+  /// On error the unpublished commands are abandoned.
+  Status publish(QueuePair& qp, std::span<Prepared> prepared);
+  /// Bookkeeping for commands whose doorbell just rang: attribution
+  /// marks into their Pendings, the kSubmit trace event (end = bell
+  /// end), telemetry and submit metrics. One call per doorbell run.
+  void record_submitted(QueuePair& qp, std::span<const Prepared> run);
+  /// Undoes prepare() for commands that were never published: erases
+  /// their Pendings and pays back gate admissions and ring reservations.
+  void abandon(QueuePair& qp, std::span<const Prepared> prepared);
 
   /// ByteExpress-R: read length a request declares (read_buffer size, or
   /// the block length for LBA reads).

@@ -241,8 +241,8 @@ class Telemetry {
                std::uint64_t data_bytes, std::uint64_t wire_bytes) noexcept;
   void on_payload(std::uint64_t bytes) noexcept;
   void on_stage(TraceStage stage, Nanoseconds duration) noexcept;
-  /// `entries` is the number of SQ slots the doorbell published — 1 on
-  /// the unbatched path, the whole coalesced run on the batched path.
+  /// `entries` is the number of SQ slots the doorbell published: every
+  /// SQE and inline chunk of the coalesced run it closes.
   void on_sq_doorbell(std::uint16_t qid, std::uint64_t entries = 1) noexcept;
   void on_cq_doorbell(std::uint16_t qid) noexcept;
   /// One completed command's wait/service breakdown (driver

@@ -19,6 +19,7 @@
 #include "driver/nvme_driver.h"
 #include "nvme/bandslim_wire.h"
 #include "nvme/inline_wire.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace bx {
@@ -301,6 +302,89 @@ TEST(BatchSubmissionTest, DoorbellsPerKopGaugeDropsUnderBatching) {
   EXPECT_EQ(bed.metrics().gauge_value("driver.doorbells_per_kop"), 125);
   EXPECT_EQ(bed.metrics().counter_value("driver.batches"), 10u);
   EXPECT_EQ(bed.metrics().counter_value("driver.batched_commands"), 80u);
+}
+
+// Regression: the single-command path counted a command only after its
+// doorbell rang, so the gauge divided by N-1 and read 1111 after 10
+// unbatched writes. Every command is now counted before its bell.
+TEST(BatchSubmissionTest, DoorbellsPerKopGaugeIsExactForSingleCommands) {
+  Testbed bed(test::small_testbed_config());
+  const ByteVec payload(256, Byte{0x45});
+  for (int i = 0; i < 10; ++i) {
+    auto completion = bed.raw_write(payload, TransferMethod::kByteExpress);
+    ASSERT_TRUE(completion.is_ok() && completion->ok());
+  }
+  EXPECT_EQ(bed.metrics().counter_value("driver.commands"), 10u);
+  EXPECT_EQ(bed.metrics().counter_value("driver.sq_doorbells"), 10u);
+  EXPECT_EQ(bed.metrics().gauge_value("driver.doorbells_per_kop"), 1000);
+}
+
+// One submission core: execute(r) and execute_batch({r}) must be the same
+// command on the wire and in the trace — identical event sequence with
+// identical start/end times, identical latency and breakdown.
+TEST(BatchSubmissionTest, BatchOfOneEqualsExecute) {
+  struct Case {
+    const char* name;
+    TransferMethod method;
+    bool read = false;
+    bool policy = false;
+  };
+  const Case cases[] = {
+      {"prp", TransferMethod::kPrp},
+      {"sgl", TransferMethod::kSgl},
+      {"byteexpress", TransferMethod::kByteExpress},
+      {"byteexpress_ooo", TransferMethod::kByteExpressOoo},
+      {"bandslim", TransferMethod::kBandSlim},
+      {"auto_policy", TransferMethod::kAuto, false, true},
+      {"inline_read", TransferMethod::kPrp, true},
+  };
+  const ByteVec payload(130, Byte{0x3c});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto config = test::small_testbed_config();
+    config.policy_enabled = c.policy;
+    Testbed single(config);
+    Testbed batched(config);
+    if (c.read) {
+      // Something to read back; the compared trace starts after it.
+      for (Testbed* bed : {&single, &batched}) {
+        ASSERT_TRUE(bed->raw_write(payload, TransferMethod::kPrp)->ok());
+        bed->reset_counters();
+      }
+    }
+    ByteVec single_buffer(512);
+    ByteVec batched_buffer(512);
+    const auto request_for = [&](ByteVec& buffer) {
+      driver::IoRequest request = make_write(payload, c.method);
+      if (c.read) {
+        request.opcode = nvme::IoOpcode::kVendorRawRead;
+        request.write_data = {};
+        request.read_buffer = {buffer.data(), buffer.size()};
+      }
+      return request;
+    };
+
+    const driver::IoRequest single_request = request_for(single_buffer);
+    auto one = single.driver().execute(single_request, 1);
+    ASSERT_TRUE(one.is_ok()) << one.status().message();
+    ASSERT_TRUE(one->ok());
+    const driver::IoRequest batched_request = request_for(batched_buffer);
+    auto batch = batched.driver().execute_batch({&batched_request, 1}, 1);
+    ASSERT_TRUE(batch.is_ok()) << batch.status().message();
+    ASSERT_EQ(batch->size(), 1u);
+
+    EXPECT_EQ(obs::TraceRecorder::dump(single.trace().snapshot()),
+              obs::TraceRecorder::dump(batched.trace().snapshot()));
+    EXPECT_EQ(one->latency_ns, batch->front().latency_ns);
+    EXPECT_EQ(one->breakdown.ns, batch->front().breakdown.ns);
+    EXPECT_EQ(one->bytes_returned, batch->front().bytes_returned);
+    if (c.read) {
+      EXPECT_EQ(single.metrics().counter_value(
+                    "driver.inline_read.completions"),
+                1u);
+      EXPECT_EQ(single_buffer, batched_buffer);
+    }
+  }
 }
 
 // ----------------------------------------------------------- write_pipeline

@@ -625,6 +625,60 @@ TEST(BatchedFaultRecoveryTest, MidBatchDegradationReroutesRemainderToPrp) {
       << "post-reprobe batch must not add PRP traffic";
 }
 
+// Counts admissions and releases; admits only the first `budget`
+// commands and rejects every later one.
+class BudgetGate final : public driver::SubmissionGate {
+ public:
+  explicit BudgetGate(std::uint32_t budget) : budget_(budget) {}
+  Status admit(const IoRequest& /*request*/, std::uint16_t /*qid*/,
+               std::uint32_t /*inline_slots*/,
+               Nanoseconds /*now*/) override {
+    if (admits == budget_) return resource_exhausted("gate budget spent");
+    ++admits;
+    return Status::ok();
+  }
+  void release(std::uint16_t /*tenant*/, std::uint32_t /*inline_slots*/,
+               bool /*completed*/) noexcept override {
+    ++releases;
+  }
+  std::uint32_t admits = 0;
+  std::uint32_t releases = 0;
+
+ private:
+  std::uint32_t budget_;
+};
+
+// Regression: when command k's retry tail failed (here the retry is
+// refused by the gate), execute_batch returned at once and never waited
+// commands k+1.., leaking their pending entries and gate admissions
+// (3 pending, 4 admits against 1 release). Every remaining handle must
+// be drained before the error surfaces.
+TEST(BatchedFaultRecoveryTest, RetryErrorStillDrainsTheRestOfTheBatch) {
+  Testbed bed(armed_testbed_config());
+  bed.fault_injector()->set_policy({});
+  bed.fault_injector()->arm(fault::FaultKind::kErrorRetryable);
+  BudgetGate gate(4);
+  bed.driver().set_submission_gate(&gate);
+
+  std::vector<ByteVec> payloads(4, ByteVec(128, Byte{0x5a}));
+  std::vector<IoRequest> requests;
+  for (const ByteVec& payload : payloads) {
+    IoRequest request;
+    request.opcode = IoOpcode::kVendorRawWrite;
+    request.method = TransferMethod::kByteExpress;
+    request.write_data = {payload.data(), payload.size()};
+    requests.push_back(request);
+  }
+  auto completions = bed.driver().execute_batch(
+      {requests.data(), requests.size()}, 1);
+  ASSERT_FALSE(completions.is_ok());
+  EXPECT_EQ(completions.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(bed.driver().pending_count_for_test(1), 0u);
+  EXPECT_EQ(gate.admits, 4u);
+  EXPECT_EQ(gate.admits, gate.releases);
+  bed.driver().set_submission_gate(nullptr);
+}
+
 // A dropped completion must be reaped by the driver's deadline: timeout,
 // Abort to scrub the lost CQE, one retry, success — and the fault counts
 // as recovered.

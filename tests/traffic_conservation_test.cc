@@ -119,10 +119,16 @@ void expect_cell_delta(const Snapshot& before, const Snapshot& after,
       << label << " wire bytes";
 }
 
+// gtest prints a parameter without operator<< as its raw bytes, and that
+// text is part of the registered test name. The padding between the fields
+// is therefore an explicit zeroed member, so every name is reproducible.
 struct Case {
+  Case(TransferMethod m, std::uint32_t l) : method(m), len(l) {}
   TransferMethod method;
+  std::uint8_t padding[3] = {};
   std::uint32_t len;
 };
+static_assert(sizeof(Case) == 8, "Case must have no implicit padding");
 
 std::string case_name(const testing::TestParamInfo<Case>& info) {
   return std::string(driver::transfer_method_name(info.param.method)) + "_" +
@@ -132,7 +138,8 @@ std::string case_name(const testing::TestParamInfo<Case>& info) {
 class TrafficConservationTest : public testing::TestWithParam<Case> {};
 
 TEST_P(TrafficConservationTest, EveryByteAccounted) {
-  const auto [method, len] = GetParam();
+  const TransferMethod method = GetParam().method;
+  const std::uint32_t len = GetParam().len;
   Testbed bed(test::small_testbed_config());
   constexpr std::uint16_t kQid = 1;
 

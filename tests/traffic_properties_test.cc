@@ -38,16 +38,23 @@ Probe probe_write(Testbed& testbed, TransferMethod method,
   return probe;
 }
 
+// gtest prints a parameter without operator<< as its raw bytes, and that
+// text is part of the registered test name. The padding between the fields
+// is therefore an explicit zeroed member, so every name is reproducible.
 struct MethodSize {
+  MethodSize(TransferMethod m, std::uint32_t s) : method(m), size(s) {}
   TransferMethod method;
+  std::uint8_t padding[3] = {};
   std::uint32_t size;
 };
+static_assert(sizeof(MethodSize) == 8, "MethodSize must have no implicit padding");
 
 class UniversalLaws : public ::testing::TestWithParam<MethodSize> {};
 
 TEST_P(UniversalLaws, WireCoversPayloadAndExceedsData) {
   Testbed testbed(test::small_testbed_config());
-  const auto [method, size] = GetParam();
+  const TransferMethod method = GetParam().method;
+  const std::uint32_t size = GetParam().size;
   const Probe probe = probe_write(testbed, method, size);
   // Conservation: at least the payload's bytes crossed downstream.
   EXPECT_GE(probe.down_data, size);
@@ -60,7 +67,8 @@ TEST_P(UniversalLaws, WireCoversPayloadAndExceedsData) {
 
 TEST_P(UniversalLaws, RepeatedOpsAreIdenticallyPriced) {
   Testbed testbed(test::small_testbed_config());
-  const auto [method, size] = GetParam();
+  const TransferMethod method = GetParam().method;
+  const std::uint32_t size = GetParam().size;
   const Probe first = probe_write(testbed, method, size);
   const Probe second = probe_write(testbed, method, size);
   EXPECT_EQ(first.wire, second.wire);

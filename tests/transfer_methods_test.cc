@@ -414,6 +414,32 @@ TEST(OooStripedTest, SingleQueueStripingAlsoWorks) {
   EXPECT_EQ(read_scratch(testbed, payload.size()), payload);
 }
 
+// Regression: the capacity check counted free slots per list position,
+// so a queue listed twice was checked for half its share and the pushes
+// overran the SQ (an SQ-overflow assertion killed the process). The
+// summed share per distinct queue is now checked: 8192 B needs more OOO
+// chunks than one depth-128 ring holds.
+TEST(OooStripedTest, RepeatedQueueNeedsItsSummedShare) {
+  Testbed testbed(test::small_testbed_config());
+  ByteVec large(8192);
+  fill_pattern(large, 12);
+  IoRequest request;
+  request.opcode = IoOpcode::kVendorRawWrite;
+  request.write_data = large;
+  auto rejected = testbed.driver().execute_ooo_striped(request, {1, 1});
+  ASSERT_FALSE(rejected.is_ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(testbed.driver().pending_count_for_test(1), 0u);
+
+  ByteVec payload(1000);
+  fill_pattern(payload, 13);
+  request.write_data = payload;
+  auto completion = testbed.driver().execute_ooo_striped(request, {1, 2, 1});
+  ASSERT_TRUE(completion.is_ok()) << completion.status().to_string();
+  ASSERT_TRUE(completion->ok());
+  EXPECT_EQ(read_scratch(testbed, payload.size()), payload);
+}
+
 TEST(OooStripedTest, ValidatesArguments) {
   Testbed testbed(test::small_testbed_config());
   IoRequest request;
