@@ -1,5 +1,6 @@
 #include "hostmem/dma_memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace bx {
@@ -41,7 +42,8 @@ DmaBuffer DmaMemory::allocate_pages(std::uint64_t pages) {
   BX_ASSERT(pages > 0);
   std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t first_page = 0;
-  // First-fit over the free list; exact or split.
+  // First fit over the sorted free list (the lowest run that fits); exact
+  // or split.
   for (std::size_t i = 0; i < free_runs_.size(); ++i) {
     auto& [run_start, run_len] = free_runs_[i];
     if (run_len >= pages) {
@@ -67,18 +69,48 @@ void DmaMemory::free_pages(std::uint64_t addr, std::uint64_t pages) noexcept {
   BX_ASSERT(is_aligned(addr, kHostPageSize));
   BX_ASSERT(allocated_pages_ >= pages);
   allocated_pages_ -= pages;
-  free_runs_.emplace_back(addr / kHostPageSize, pages);
+  const std::uint64_t first = addr / kHostPageSize;
+  const auto next = std::lower_bound(
+      free_runs_.begin(), free_runs_.end(), first,
+      [](const auto& run, std::uint64_t page) { return run.first < page; });
+  const bool joins_next = next != free_runs_.end() &&
+                          first + pages == next->first;
+  if (next != free_runs_.begin()) {
+    auto& prev = *(next - 1);
+    if (prev.first + prev.second == first) {
+      prev.second += pages;
+      if (joins_next) {
+        prev.second += next->second;
+        free_runs_.erase(next);
+      }
+      return;
+    }
+  }
+  if (joins_next) {
+    next->first = first;
+    next->second += pages;
+    return;
+  }
+  free_runs_.insert(next, {first, pages});
 }
 
 Byte* DmaMemory::page_for(std::uint64_t addr) noexcept {
   const std::uint64_t page_no = addr / kHostPageSize;
-  auto it = pages_.find(page_no);
-  if (it == pages_.end()) {
-    auto page = std::make_unique<Byte[]>(kHostPageSize);
-    std::memset(page.get(), 0, kHostPageSize);
-    it = pages_.emplace(page_no, std::move(page)).first;
+  const std::uint64_t leaf_no = page_no >> kLeafBits;
+  std::unique_ptr<Leaf>* leaf = nullptr;
+  if (leaf_no < kNearLeaves) {
+    if (near_leaves_.size() <= leaf_no) near_leaves_.resize(leaf_no + 1);
+    leaf = &near_leaves_[leaf_no];
+  } else {
+    leaf = &far_leaves_[leaf_no];
   }
-  return it->second.get();
+  if (*leaf == nullptr) *leaf = std::make_unique<Leaf>();
+  std::unique_ptr<Byte[]>& page = (**leaf)[page_no & (kLeafPages - 1)];
+  if (page == nullptr) {
+    page = std::make_unique<Byte[]>(kHostPageSize);  // zero-filled
+    ++resident_pages_;
+  }
+  return page.get();
 }
 
 void DmaMemory::write(std::uint64_t addr, ConstByteSpan data) noexcept {
@@ -111,12 +143,17 @@ void DmaMemory::read(std::uint64_t addr, ByteSpan out) noexcept {
 
 std::size_t DmaMemory::resident_pages() const noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
-  return pages_.size();
+  return resident_pages_;
 }
 
 std::uint64_t DmaMemory::allocated_pages() const noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   return allocated_pages_;
+}
+
+std::size_t DmaMemory::free_runs() const noexcept {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return free_runs_.size();
 }
 
 }  // namespace bx

@@ -3,13 +3,17 @@
 // Everything the device can DMA — SQ/CQ rings, PRP data pages, PRP list
 // pages, SGL segments — lives in one DmaMemory instance addressed by 64-bit
 // "host physical" addresses. Pages are materialized lazily on first touch so
-// a sparse multi-gigabyte address space costs only what is used.
+// a sparse multi-gigabyte address space costs only what is used. A page is
+// found through a two-level table (a flat directory of leaves for the low
+// addresses the allocator hands out, a hash map of leaves above them), and
+// freed runs are coalesced so the allocator keeps reusing the lowest pages.
 //
 // DmaBuffer is the RAII handle for page-aligned allocations; it returns its
 // pages to the free list on destruction, mirroring the kernel DMA pool the
 // real driver draws PRP pages from.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -91,16 +95,29 @@ class DmaMemory {
   /// Pages handed out and not yet freed.
   [[nodiscard]] std::uint64_t allocated_pages() const noexcept;
 
+  /// Disjoint runs on the free list (fragmentation, for tests).
+  [[nodiscard]] std::size_t free_runs() const noexcept;
+
  private:
   friend class DmaBuffer;
   void free_pages(std::uint64_t addr, std::uint64_t pages) noexcept;
 
   Byte* page_for(std::uint64_t addr) noexcept;
 
+  /// A leaf of the page table: storage of kLeafPages consecutive pages.
+  static constexpr std::uint64_t kLeafBits = 9;
+  static constexpr std::uint64_t kLeafPages = std::uint64_t{1} << kLeafBits;
+  using Leaf = std::array<std::unique_ptr<Byte[]>, kLeafPages>;
+  /// Leaves below this number (8 GiB of address space) sit in the flat
+  /// directory, which grows only to the highest one touched.
+  static constexpr std::uint64_t kNearLeaves = 4096;
+
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Byte[]>> pages_;
-  // Free list of {first_page_no, page_count} runs, kept coalesced enough for
-  // this workload by best-effort front reuse.
+  std::vector<std::unique_ptr<Leaf>> near_leaves_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Leaf>> far_leaves_;
+  std::size_t resident_pages_ = 0;
+  // Free list of {first_page_no, page_count} runs, sorted by page and
+  // coalesced on free: no two runs touch.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> free_runs_;
   std::uint64_t next_page_no_ = 1;  // page 0 reserved: address 0 stays invalid
   std::uint64_t allocated_pages_ = 0;

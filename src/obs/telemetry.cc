@@ -9,6 +9,41 @@ namespace {
 
 constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
 
+/// Zeroes every delta of `sample` and keeps its gauges: what a window in
+/// which nothing happened samples.
+void zero_deltas(TelemetrySample& sample) noexcept {
+  sample.flow = {};
+  sample.payload_bytes = 0;
+  sample.stage_count = {};
+  sample.stage_ns = {};
+  sample.wait_count = 0;
+  sample.wait_ns = {};
+  for (QueueWindow& qw : sample.queues) {
+    qw.sq_doorbells = 0;
+    qw.sq_entries = 0;
+    qw.cq_doorbells = 0;
+  }
+  for (TenantWindow& tw : sample.tenants) {
+    tw.admitted = 0;
+    tw.rejected = 0;
+    tw.payload_bytes = 0;
+    tw.completions = 0;
+  }
+  sample.policy_inline = 0;
+  sample.policy_dma = 0;
+  sample.policy_rejects = 0;
+}
+
+/// Puts `idle` on the grid as the `offset`-th window after `closed` (the
+/// two may be the same sample).
+void place_idle(TelemetrySample& idle, const TelemetrySample& closed,
+                std::uint64_t offset, Nanoseconds window_ns) noexcept {
+  const Nanoseconds start = closed.end_ns + (offset - 1) * window_ns;
+  idle.index = closed.index + offset;
+  idle.start_ns = start;
+  idle.end_ns = start + window_ns;
+}
+
 }  // namespace
 
 std::string_view link_dir_name(LinkDir dir) noexcept {
@@ -146,8 +181,24 @@ void Telemetry::on_wait(const LatencyBreakdown& breakdown) noexcept {
   }
 }
 
+Telemetry::Slot& Telemetry::acquire_slot_locked() {
+  if (ring_entries_ == ring_.size()) {
+    // Full (trim_locked() keeps it to max_windows + 1 entries): unroll
+    // the circle so the new entry goes last.
+    std::rotate(ring_.begin(),
+                ring_.begin() + static_cast<std::ptrdiff_t>(ring_head_),
+                ring_.end());
+    ring_head_ = 0;
+    ring_.push_back(std::make_unique<Slot>());
+  }
+  Slot& slot = *ring_[(ring_head_ + ring_entries_) % ring_.size()];
+  ++ring_entries_;
+  slot.idle_after = 0;
+  return slot;
+}
+
 void Telemetry::close_window_locked(Nanoseconds end) {
-  TelemetrySample sample;
+  TelemetrySample& sample = acquire_slot_locked().sample;
   sample.index = next_index_++;
   sample.start_ns = window_start_;
   sample.end_ns = end;
@@ -191,6 +242,7 @@ void Telemetry::close_window_locked(Nanoseconds end) {
 
   sample.backlog = backlog_ != nullptr ? backlog_->value() : 0;
 
+  sample.queues.clear();
   for (const auto& source : queues_) {
     if (source == nullptr) continue;
     QueueWindow qw;
@@ -210,6 +262,7 @@ void Telemetry::close_window_locked(Nanoseconds end) {
     sample.queues.push_back(qw);
   }
 
+  sample.tenants.clear();
   for (TenantSource& source : tenants_) {
     TenantWindow tw;
     tw.tenant = source.tenant;
@@ -234,6 +287,10 @@ void Telemetry::close_window_locked(Nanoseconds end) {
     sample.tenants.push_back(tw);
   }
 
+  sample.policy_inline = 0;
+  sample.policy_dma = 0;
+  sample.policy_rejects = 0;
+  sample.policy_shedding = 0;
   if (policy_registered_) {
     const std::uint64_t inline_now = policy_.inline_decisions != nullptr
                                          ? policy_.inline_decisions->value()
@@ -255,42 +312,85 @@ void Telemetry::close_window_locked(Nanoseconds end) {
 
   if (observer_ != nullptr) observer_->on_window(sample);
 
-  ring_.push_back(std::move(sample));
-  if (ring_.size() > config_.max_windows) {
-    ring_.pop_front();
-    windows_dropped_.fetch_add(1, kRelaxed);
-  }
+  ++ring_windows_;
   windows_closed_.fetch_add(1, kRelaxed);
-
   window_start_ = end;
   window_end_.store(end + config_.window_ns, kRelaxed);
+}
+
+void Telemetry::close_expired_locked(Nanoseconds now) {
+  // Re-check under the lock: another thread may have rolled the window.
+  if (now < window_end_.load(kRelaxed)) return;
+  const Nanoseconds window = config_.window_ns;
+  const std::uint64_t idle = (now - window_start_) / window - 1;
+  close_window_locked(window_start_ + window);
+  if (idle > 0) {
+    const std::size_t tail = (ring_head_ + ring_entries_ - 1) % ring_.size();
+    Slot& slot = *ring_[tail];
+    if (observer_ != nullptr) {
+      idle_sample_ = slot.sample;
+      zero_deltas(idle_sample_);
+      for (std::uint64_t i = 1; i <= idle; ++i) {
+        place_idle(idle_sample_, slot.sample, i, window);
+        observer_->on_window(idle_sample_);
+      }
+    }
+    slot.idle_after = idle;
+    ring_windows_ += idle;
+    next_index_ += idle;
+    windows_closed_.fetch_add(idle, kRelaxed);
+    window_start_ += idle * window;
+    window_end_.store(window_start_ + window, kRelaxed);
+  }
+  trim_locked();
+}
+
+void Telemetry::trim_locked() {
+  if (ring_windows_ <= config_.max_windows) return;
+  std::uint64_t excess = ring_windows_ - config_.max_windows;
+  ring_windows_ -= excess;
+  windows_dropped_.fetch_add(excess, kRelaxed);
+  while (excess > 0) {
+    Slot& head = *ring_[ring_head_];
+    if (excess <= head.idle_after) {
+      // The drop ends inside the head's idle run: its first surviving
+      // window becomes the head entry.
+      place_idle(head.sample, head.sample, excess, config_.window_ns);
+      zero_deltas(head.sample);
+      head.idle_after -= excess;
+      return;
+    }
+    excess -= 1 + head.idle_after;
+    ring_head_ = (ring_head_ + 1) % ring_.size();
+    --ring_entries_;
+  }
 }
 
 void Telemetry::advance_to(Nanoseconds now) {
   if (!config_.enabled) return;
   if (now < window_end_.load(kRelaxed)) return;  // fast path
   std::lock_guard<std::mutex> lock(mutex_);
-  // Re-check under the lock: another thread may have rolled the window.
-  while (now >= window_end_.load(kRelaxed)) {
-    close_window_locked(window_start_ + config_.window_ns);
-  }
+  close_expired_locked(now);
 }
 
 void Telemetry::flush(Nanoseconds now) {
   if (!config_.enabled) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  while (now >= window_end_.load(kRelaxed)) {
-    close_window_locked(window_start_ + config_.window_ns);
-  }
+  close_expired_locked(now);
   // Close the in-progress partial window (delta residuals -> sample) so
   // sample sums match cumulative counters exactly. The window grid
   // restarts at `now`.
-  if (now > window_start_) close_window_locked(now);
+  if (now > window_start_) {
+    close_window_locked(now);
+    trim_locked();
+  }
 }
 
 void Telemetry::clear(Nanoseconds now) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
+  ring_head_ = 0;
+  ring_entries_ = 0;
+  ring_windows_ = 0;
   next_index_ = 0;
   windows_closed_.store(0, kRelaxed);
   windows_dropped_.store(0, kRelaxed);
@@ -344,7 +444,20 @@ void Telemetry::clear(Nanoseconds now) {
 
 std::vector<TelemetrySample> Telemetry::samples() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
+  std::vector<TelemetrySample> out;
+  out.reserve(ring_windows_);
+  for (std::size_t i = 0; i < ring_entries_; ++i) {
+    const Slot& slot = *ring_[(ring_head_ + i) % ring_.size()];
+    out.push_back(slot.sample);
+    if (slot.idle_after == 0) continue;
+    TelemetrySample idle = slot.sample;
+    zero_deltas(idle);
+    for (std::uint64_t k = 1; k <= slot.idle_after; ++k) {
+      place_idle(idle, slot.sample, k, config_.window_ns);
+      out.push_back(idle);
+    }
+  }
+  return out;
 }
 
 std::array<std::array<FlowCell, kTlpKinds>, kLinkDirs> Telemetry::sum_flows(

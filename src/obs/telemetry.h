@@ -19,12 +19,16 @@
 // safe from any submitter thread and cheap enough for per-TLP call sites.
 // Window rolling happens in advance_to(now): a relaxed fast path returns
 // while `now` is inside the current window; the slow path takes a mutex
-// and closes every expired window by delta-ing the cumulative counters
-// against the previous snapshot. Because every sample is a telescoping
-// difference of the same cumulative counters, the sum of per-window
-// deltas equals the counter totals *exactly* once flush() has closed the
-// final partial window (tests/traffic_conservation_test.cc asserts this
-// against pcie::TrafficCounter for every transfer method).
+// and closes the first expired window by delta-ing the cumulative
+// counters against the previous snapshot. When `now` has passed several
+// window boundaries, the windows after the first are an *idle run*: no
+// hook can fire inside the locked close, and their gauges would be read
+// at the same instant, so they are recorded in O(1) as a count on the
+// ring entry and expanded by samples(). Because every sample is a
+// telescoping difference of the same cumulative counters, the sum of
+// per-window deltas equals the counter totals *exactly* once flush() has
+// closed the final partial window (tests/traffic_conservation_test.cc
+// asserts this against pcie::TrafficCounter for every transfer method).
 //
 // Layering: bx_obs sits below bx_pcie, so this header cannot name
 // pcie::Direction. LinkDir mirrors its numeric values (kDownstream=0,
@@ -39,7 +43,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,8 +72,10 @@ struct TelemetryConfig {
   bool enabled = true;
   /// Window length in simulated nanoseconds (PCM-style sampling period).
   Nanoseconds window_ns = 10'000;
-  /// Samples kept before the oldest are dropped (memory bound for long
-  /// runs); drops are counted, never silent.
+  /// Windows kept before the oldest are dropped (bound for long runs);
+  /// drops are counted, never silent. An idle run of windows costs one
+  /// count, so memory is bounded by the windows in which something
+  /// happened.
   std::size_t max_windows = 1u << 16;
 };
 
@@ -167,12 +172,15 @@ struct TelemetrySample {
 
 class Telemetry {
  public:
-  /// Consumer of every closed window, invoked synchronously from
-  /// close_window_locked() with the telemetry mutex held. The observer
-  /// must only update its own (innermost-locked) state: calling back into
-  /// Telemetry, the driver or the link from on_window() deadlocks. The
-  /// adaptive policy (policy::AdaptivePolicy) uses this to run its EWMA
-  /// updates and hysteresis transitions on the window grid.
+  /// Consumer of every closed window, idle ones included, invoked
+  /// synchronously with the telemetry mutex held. The observer must only
+  /// update its own (innermost-locked) state: calling back into
+  /// Telemetry, the driver or the link from on_window() deadlocks, and a
+  /// gauge or counter registered for sampling must not move (the windows
+  /// of an idle run share the values read at the run's first close). The
+  /// sample is only valid during the call. The adaptive policy
+  /// (policy::AdaptivePolicy) uses this to run its EWMA updates and
+  /// hysteresis transitions on the window grid.
   class WindowObserver {
    public:
     virtual ~WindowObserver() = default;
@@ -253,7 +261,8 @@ class Telemetry {
   // ---- window rolling ----
 
   /// Closes every window that `now` has moved past. The common case (still
-  /// inside the current window) is one relaxed load.
+  /// inside the current window) is one relaxed load; a jump over many
+  /// windows costs one window close plus an O(1) idle run.
   void advance_to(Nanoseconds now);
   /// advance_to(now), then closes the in-progress partial window so that
   /// sample sums reconcile exactly with cumulative counters. The next
@@ -265,6 +274,7 @@ class Telemetry {
 
   // ---- consumption ----
 
+  /// Every held window in order, idle runs expanded (one sample each).
   [[nodiscard]] std::vector<TelemetrySample> samples() const;
   [[nodiscard]] std::uint64_t windows_closed() const noexcept {
     return windows_closed_.load(std::memory_order_relaxed);
@@ -311,7 +321,24 @@ class Telemetry {
     std::uint64_t last_cq_doorbells = 0;  // under mutex_
   };
 
+  /// A ring entry: one window closed in place plus the number of idle
+  /// windows that followed it on the grid (each window_ns long, starting
+  /// at sample.end_ns, all deltas zero, the sample's gauges).
+  struct Slot {
+    TelemetrySample sample;
+    std::uint64_t idle_after = 0;
+  };
+
+  /// Closes every window `now` has passed: the first one in place, the
+  /// rest as an idle run on the same entry.
+  void close_expired_locked(Nanoseconds now);
+  /// Samples the counters into a fresh ring entry as window [start, end).
   void close_window_locked(Nanoseconds end);
+  /// The next free ring entry, growing the ring while it holds fewer than
+  /// max_windows + 1 entries.
+  Slot& acquire_slot_locked();
+  /// Drops the oldest windows until at most max_windows are held.
+  void trim_locked();
 
   TelemetryConfig config_;
   double bytes_per_ns_ = 1.0;
@@ -374,7 +401,16 @@ class Telemetry {
   std::array<std::uint64_t, kStageCount> last_stage_ns_{};
   std::uint64_t last_wait_count_ = 0;
   std::array<std::uint64_t, kWaitSegmentCount> last_wait_ns_{};
-  std::deque<TelemetrySample> ring_;
+  /// Circular buffer of entries, oldest at ring_head_. Entries are reused
+  /// in place, so their queues/tenants vectors keep their capacity; the
+  /// buffer only grows (one entry at a time) while it is full.
+  std::vector<std::unique_ptr<Slot>> ring_;
+  std::size_t ring_head_ = 0;
+  std::size_t ring_entries_ = 0;
+  /// Windows held: entries plus their idle runs (<= max_windows).
+  std::uint64_t ring_windows_ = 0;
+  /// Reused sample the observer sees for each window of an idle run.
+  TelemetrySample idle_sample_;
 };
 
 }  // namespace bx::obs

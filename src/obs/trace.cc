@@ -43,7 +43,66 @@ bool is_device_service_stage(TraceStage stage) noexcept {
   }
 }
 
+/// Home slot of `key` in a table of `mask + 1` entries (Fibonacci hashing:
+/// consecutive CIDs spread over the table).
+std::size_t home_slot(std::uint32_t key, std::size_t mask) noexcept {
+  return static_cast<std::size_t>(
+             (std::uint64_t{key} * 0x9e3779b97f4a7c15ULL) >> 32) &
+         mask;
+}
+
 }  // namespace
+
+std::size_t TraceRecorder::find_open_locked(std::uint32_t key) const noexcept {
+  if (open_.empty()) return kNotOpen;
+  const std::size_t mask = open_.size() - 1;
+  for (std::size_t i = home_slot(key, mask);; i = (i + 1) & mask) {
+    if (!open_[i].used) return kNotOpen;
+    if (open_[i].key == key) return i;
+  }
+}
+
+TraceRecorder::OpenCommand& TraceRecorder::open_command_locked(
+    std::uint32_t key) {
+  const std::size_t found = find_open_locked(key);
+  if (found != kNotOpen) return open_[found];
+  if (2 * (open_count_ + 1) > open_.size()) {
+    std::vector<OpenCommand> old = std::move(open_);
+    open_ = std::vector<OpenCommand>(
+        std::max<std::size_t>(64, 2 * old.size()));
+    const std::size_t mask = open_.size() - 1;
+    for (OpenCommand& entry : old) {
+      if (!entry.used) continue;
+      std::size_t i = home_slot(entry.key, mask);
+      while (open_[i].used) i = (i + 1) & mask;
+      open_[i] = std::move(entry);
+    }
+  }
+  const std::size_t mask = open_.size() - 1;
+  std::size_t i = home_slot(key, mask);
+  while (open_[i].used) i = (i + 1) & mask;
+  open_[i].used = true;
+  open_[i].key = key;
+  ++open_count_;
+  return open_[i];
+}
+
+void TraceRecorder::erase_open_locked(std::size_t index) noexcept {
+  const std::size_t mask = open_.size() - 1;
+  open_[index].used = false;
+  open_[index].buffered.clear();
+  // Backward-shift deletion: an entry further along the probe run moves
+  // into the hole when the hole lies on its path from its home slot.
+  std::size_t hole = index;
+  for (std::size_t i = (hole + 1) & mask; open_[i].used; i = (i + 1) & mask) {
+    const std::size_t home = home_slot(open_[i].key, mask);
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      std::swap(open_[hole], open_[i]);
+      hole = i;
+    }
+  }
+  --open_count_;
+}
 
 void TraceRecorder::store_event(const TraceEvent& event) {
   if (stored_.fetch_add(1, std::memory_order_relaxed) >=
@@ -62,9 +121,10 @@ void TraceRecorder::record(TraceEvent event) {
   event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(table_mutex_);
-    auto it = open_.find(command_key(event.qid, event.cid));
-    if (it != open_.end()) {
-      OpenCommand& open = it->second;
+    const std::size_t index =
+        find_open_locked(command_key(event.qid, event.cid));
+    if (index != kNotOpen) {
+      OpenCommand& open = open_[index];
       if (is_device_service_stage(event.stage)) {
         DeviceReport& report = open.report;
         if (!report.valid) {
@@ -101,18 +161,19 @@ void TraceRecorder::begin_command(std::uint16_t qid, std::uint16_t cid,
                                   std::uint16_t tenant) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(table_mutex_);
-  OpenCommand& open = open_[command_key(qid, cid)];
-  open = OpenCommand{};
+  OpenCommand& open = open_command_locked(command_key(qid, cid));
   open.tenant = tenant;
   open.buffering = sampling_.enabled;
+  open.report = DeviceReport{};
+  open.buffered.clear();
 }
 
 void TraceRecorder::note_command_wait(std::uint16_t qid, std::uint16_t cid,
                                       std::uint64_t wait_ns) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(table_mutex_);
-  auto it = open_.find(command_key(qid, cid));
-  if (it != open_.end()) it->second.report.wait_ns += wait_ns;
+  const std::size_t index = find_open_locked(command_key(qid, cid));
+  if (index != kNotOpen) open_[index].report.wait_ns += wait_ns;
 }
 
 DeviceReport TraceRecorder::finish_command(std::uint16_t qid,
@@ -120,61 +181,59 @@ DeviceReport TraceRecorder::finish_command(std::uint16_t qid,
                                            Nanoseconds latency_ns) {
   DeviceReport report;
   commands_seen_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<TraceEvent> buffered;
+  std::lock_guard<std::mutex> lock(table_mutex_);
+  const std::size_t index = find_open_locked(command_key(qid, cid));
+  if (index == kNotOpen) {
+    // Unknown (recorder cleared mid-flight, or bracketing disabled):
+    // nothing was buffered, so nothing can be sampled out.
+    commands_kept_.fetch_add(1, std::memory_order_relaxed);
+    return report;
+  }
+  OpenCommand& open = open_[index];
+  report = open.report;
   bool keep = true;
-  {
-    std::lock_guard<std::mutex> lock(table_mutex_);
-    auto it = open_.find(command_key(qid, cid));
-    if (it == open_.end()) {
-      // Unknown (recorder cleared mid-flight, or bracketing disabled):
-      // nothing was buffered, so nothing can be sampled out.
-      commands_kept_.fetch_add(1, std::memory_order_relaxed);
-      return report;
+  if (open.buffering) {
+    keep = sampling_.keep_threshold_ns > 0 &&
+           latency_ns >= sampling_.keep_threshold_ns;
+    if (!keep && sampling_.top_k > 0 && sampling_.window_ns > 0) {
+      const std::uint64_t window =
+          static_cast<std::uint64_t>(now) /
+          static_cast<std::uint64_t>(sampling_.window_ns);
+      if (window != topk_window_index_) {
+        topk_window_index_ = window;
+        topk_heap_.clear();
+      }
+      const auto min_heap = [](Nanoseconds a, Nanoseconds b) {
+        return a > b;
+      };
+      if (topk_heap_.size() < sampling_.top_k) {
+        topk_heap_.push_back(latency_ns);
+        std::push_heap(topk_heap_.begin(), topk_heap_.end(), min_heap);
+        keep = true;
+      } else if (latency_ns > topk_heap_.front()) {
+        std::pop_heap(topk_heap_.begin(), topk_heap_.end(), min_heap);
+        topk_heap_.back() = latency_ns;
+        std::push_heap(topk_heap_.begin(), topk_heap_.end(), min_heap);
+        keep = true;
+      }
     }
-    report = it->second.report;
-    buffered = std::move(it->second.buffered);
-    const bool buffering = it->second.buffering;
-    open_.erase(it);
-    if (buffering) {
-      keep = sampling_.keep_threshold_ns > 0 &&
-             latency_ns >= sampling_.keep_threshold_ns;
-      if (!keep && sampling_.top_k > 0 && sampling_.window_ns > 0) {
-        const std::uint64_t window =
-            static_cast<std::uint64_t>(now) /
-            static_cast<std::uint64_t>(sampling_.window_ns);
-        if (window != topk_window_index_) {
-          topk_window_index_ = window;
-          topk_heap_.clear();
-        }
-        const auto min_heap = [](Nanoseconds a, Nanoseconds b) {
-          return a > b;
-        };
-        if (topk_heap_.size() < sampling_.top_k) {
-          topk_heap_.push_back(latency_ns);
-          std::push_heap(topk_heap_.begin(), topk_heap_.end(), min_heap);
-          keep = true;
-        } else if (latency_ns > topk_heap_.front()) {
-          std::pop_heap(topk_heap_.begin(), topk_heap_.end(), min_heap);
-          topk_heap_.back() = latency_ns;
-          std::push_heap(topk_heap_.begin(), topk_heap_.end(), min_heap);
-          keep = true;
-        }
-      }
-      if (!keep && sampling_.sample_every > 0) {
-        keep = residual_counter_++ % sampling_.sample_every == 0;
-      }
+    if (!keep && sampling_.sample_every > 0) {
+      keep = residual_counter_++ % sampling_.sample_every == 0;
     }
   }
   if (keep) {
     commands_kept_.fetch_add(1, std::memory_order_relaxed);
     // Buffered events keep their original seq, so snapshot() interleaves
     // them correctly with everything stored while they were pending.
-    for (const TraceEvent& event : buffered) store_event(event);
+    // Storing them here, in the entry, lets it keep its buffer capacity
+    // (table_mutex_ before a shard mutex is the documented order).
+    for (const TraceEvent& event : open.buffered) store_event(event);
   } else {
     commands_sampled_out_.fetch_add(1, std::memory_order_relaxed);
-    events_sampled_out_.fetch_add(buffered.size(),
+    events_sampled_out_.fetch_add(open.buffered.size(),
                                   std::memory_order_relaxed);
   }
+  erase_open_locked(index);
   return report;
 }
 
@@ -213,7 +272,11 @@ void TraceRecorder::clear() {
   dropped_.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(table_mutex_);
-    open_.clear();
+    for (OpenCommand& open : open_) {
+      open.used = false;
+      open.buffered.clear();
+    }
+    open_count_ = 0;
     topk_window_index_ = 0;
     topk_heap_.clear();
     residual_counter_ = 0;

@@ -43,7 +43,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/histogram.h"
@@ -285,18 +284,31 @@ class TraceRecorder {
     mutable std::mutex mutex;
     std::vector<TraceEvent> events;
   };
-  /// One open command in the attribution table, keyed (qid << 16) | cid.
+  /// One entry of the open-command attribution table, keyed
+  /// (qid << 16) | cid.
   struct OpenCommand {
+    bool used = false;
+    std::uint32_t key = 0;
     std::uint16_t tenant = 0;
     bool buffering = false;
     DeviceReport report;
     std::vector<TraceEvent> buffered;
   };
+  static constexpr std::size_t kNotOpen = ~std::size_t{0};
 
   static constexpr std::uint32_t command_key(std::uint16_t qid,
                                              std::uint16_t cid) noexcept {
     return (std::uint32_t{qid} << 16) | cid;
   }
+
+  /// Index of the open entry for `key`, or kNotOpen. Under table_mutex_.
+  std::size_t find_open_locked(std::uint32_t key) const noexcept;
+  /// Opens (or reopens) the entry for `key`, growing the table when it
+  /// would pass half full. Under table_mutex_.
+  OpenCommand& open_command_locked(std::uint32_t key);
+  /// Frees entry `index` and shifts the probe run after it back, so no
+  /// tombstones accumulate. Under table_mutex_.
+  void erase_open_locked(std::size_t index) noexcept;
 
   /// Capacity-checked push into the event shards (seq already assigned).
   void store_event(const TraceEvent& event);
@@ -311,7 +323,12 @@ class TraceRecorder {
   // Attribution table + sampling state. table_mutex_ is taken before a
   // shard mutex (flush path) and never the other way around.
   mutable std::mutex table_mutex_;
-  std::unordered_map<std::uint32_t, OpenCommand> open_;
+  /// Open-addressed (linear probing) table, a power of two in size and at
+  /// most half full. Entries are reused in place and only swapped, never
+  /// destroyed, so a command costs no allocation once the table has grown
+  /// to the peak number of open commands and `buffered` keeps its capacity.
+  std::vector<OpenCommand> open_;
+  std::size_t open_count_ = 0;
   SamplingConfig sampling_;
   std::uint64_t topk_window_index_ = 0;
   std::vector<Nanoseconds> topk_heap_;  // min-heap of kept window latencies

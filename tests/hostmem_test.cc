@@ -1,8 +1,11 @@
 // Unit tests for simulated host DRAM: allocation, RAII release and reuse,
-// cross-page access, lazy page materialization.
+// free-run coalescing, cross-page access, lazy page materialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <thread>
+#include <vector>
 
 #include "hostmem/dma_memory.h"
 
@@ -115,6 +118,49 @@ TEST(DmaMemoryTest, LazyMaterialization) {
   big.write(0, byte);
   big.write(big.size() - 1, byte);
   EXPECT_EQ(memory.resident_pages(), 2u);  // only the touched pages exist
+}
+
+TEST(DmaMemoryTest, FreedRunsCoalesceBackToOneSpan) {
+  DmaMemory memory;
+  std::mt19937_64 rng(7);
+  std::vector<DmaBuffer> live;
+  std::uint64_t low = ~std::uint64_t{0};
+  std::uint64_t high = 0;
+  for (int step = 0; step < 2000; ++step) {
+    if (!live.empty() && rng() % 3 == 0) {
+      // Free a random live buffer (out of allocation order).
+      std::swap(live[rng() % live.size()], live.back());
+      live.pop_back();
+      continue;
+    }
+    DmaBuffer buffer = memory.allocate_pages(1 + rng() % 5);
+    low = std::min(low, buffer.addr());
+    high = std::max(high, buffer.addr() + buffer.size());
+    live.push_back(std::move(buffer));
+  }
+  std::shuffle(live.begin(), live.end(), rng);
+  live.clear();
+  EXPECT_EQ(memory.allocated_pages(), 0u);
+  EXPECT_EQ(memory.free_runs(), 1u);
+
+  // The one run is the whole span, so allocating all of it reuses the
+  // first page instead of growing the address space.
+  const DmaBuffer whole = memory.allocate_pages((high - low) / kHostPageSize);
+  EXPECT_EQ(whole.addr(), low);
+  EXPECT_EQ(memory.free_runs(), 0u);
+}
+
+TEST(DmaMemoryTest, SparseFarAddressesMaterializeOnlyTouchedPages) {
+  DmaMemory memory;
+  const std::uint64_t far = std::uint64_t{1} << 44;  // far above the heap
+  ByteVec data(100);
+  fill_pattern(data, 5);
+  memory.write(far - 50, data);  // straddles two far pages
+  memory.write(3 * kHostPageSize, data);
+  ByteVec back(100);
+  memory.read(far - 50, back);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(memory.resident_pages(), 3u);
 }
 
 TEST(DmaMemoryTest, ConcurrentAllocateFree) {

@@ -5,7 +5,9 @@
 // sampling accounting (kept + sampled_out == seen, exactly).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -381,6 +383,62 @@ TEST(SamplingAccounting, DisabledByDefaultKeepsEverything) {
   }
   EXPECT_EQ(bed.trace().commands_sampled_out(), 0u);
   EXPECT_EQ(bed.trace().events_sampled_out(), 0u);
+}
+
+// The open-command table under many concurrent commands on several
+// queues, finished in random order: every report and every buffered event
+// stays with its own (qid, cid), whatever the table's probing and
+// deletion moved around.
+TEST(SamplingAccounting, OpenTableKeepsEachCommandApartInAnyOrder) {
+  obs::TraceRecorder recorder;
+  obs::SamplingConfig sampling;
+  sampling.enabled = true;
+  sampling.keep_threshold_ns = 500;  // odd-numbered commands are kept
+  recorder.configure_sampling(sampling);
+
+  struct Open {
+    std::uint16_t qid;
+    std::uint16_t cid;
+    std::uint64_t n;
+  };
+  std::vector<Open> open;
+  std::mt19937_64 rng(11);
+  for (std::uint64_t n = 0; n < 3'000; ++n) {
+    open.push_back({static_cast<std::uint16_t>(1 + n % 5),
+                    static_cast<std::uint16_t>(n / 5 * 7 % 65'536), n});
+  }
+  for (const Open& c : open) {
+    recorder.begin_command(c.qid, c.cid, /*tenant=*/0);
+    obs::TraceEvent fetch;
+    fetch.stage = obs::TraceStage::kSqeFetch;
+    fetch.qid = c.qid;
+    fetch.cid = c.cid;
+    fetch.start = 10 * c.n;
+    fetch.end = 10 * c.n + c.n % 97;
+    recorder.record(fetch);
+    recorder.note_command_wait(c.qid, c.cid, c.n);
+  }
+  std::shuffle(open.begin(), open.end(), rng);
+  std::uint64_t kept_events = 0;
+  for (const Open& c : open) {
+    const obs::DeviceReport report = recorder.finish_command(
+        c.qid, c.cid, /*now=*/0, /*latency_ns=*/c.n % 2 ? 1'000 : 1);
+    ASSERT_TRUE(report.valid) << c.n;
+    EXPECT_EQ(report.fetch_start, Nanoseconds(10 * c.n));
+    EXPECT_EQ(report.service_ns, c.n % 97);
+    EXPECT_EQ(report.wait_ns, c.n);
+    kept_events += c.n % 2;
+  }
+  EXPECT_EQ(recorder.commands_seen(), 3'000u);
+  EXPECT_EQ(recorder.commands_kept(), 1'500u);
+  EXPECT_EQ(recorder.events_sampled_out(), 1'500u);
+  const std::vector<obs::TraceEvent> events = recorder.snapshot();
+  ASSERT_EQ(events.size(), kept_events);
+  for (const obs::TraceEvent& e : events) {
+    EXPECT_EQ((e.start / 10) % 2, 1u);  // only kept commands' events
+  }
+  // Every entry was closed: a finish now finds nothing open.
+  EXPECT_FALSE(recorder.finish_command(1, 0, 0, 1).valid);
 }
 
 }  // namespace

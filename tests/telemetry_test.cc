@@ -1,9 +1,12 @@
 // Windowed telemetry sampler: window-grid semantics, exact conservation
 // against the TrafficCounter under QD>1 multi-queue load, ring bounds,
+// idle runs (one jump over many windows == one step per window),
 // downsampling, reset semantics, the disabled path, and the TSV dump.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
@@ -129,6 +132,219 @@ TEST(TelemetryWindowTest, DumpTsvHasHeaderAndOneRowPerWindow) {
   std::size_t lines = 0;
   for (const char c : tsv) lines += c == '\n' ? 1 : 0;
   EXPECT_EQ(lines, telemetry.samples().size() + 2);  // 2 header comments
+}
+
+TEST(TelemetryWindowTest, IdleRunExpandsToOneSamplePerWindow) {
+  Telemetry telemetry(tiny_config(100));
+  obs::Gauge occupancy;
+  obs::Gauge inflight;
+  telemetry.register_queue(1, &occupancy, &inflight);
+  occupancy.set(3);
+  inflight.set(5);
+  telemetry.on_sq_doorbell(1, 4);
+  telemetry.on_payload(64);
+  telemetry.advance_to(1'050);  // one busy window, then nine idle ones
+  EXPECT_EQ(telemetry.windows_closed(), 10u);
+  const std::vector<TelemetrySample> samples = telemetry.samples();
+  ASSERT_EQ(samples.size(), 10u);
+  EXPECT_EQ(samples[0].payload_bytes, 64u);
+  ASSERT_EQ(samples[0].queues.size(), 1u);
+  EXPECT_EQ(samples[0].queues[0].sq_entries, 4u);
+  for (std::size_t i = 1; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].index, i);
+    EXPECT_EQ(samples[i].start_ns, Nanoseconds(100 * i));
+    EXPECT_EQ(samples[i].end_ns, Nanoseconds(100 * (i + 1)));
+    EXPECT_EQ(samples[i].payload_bytes, 0u);
+    ASSERT_EQ(samples[i].queues.size(), 1u);
+    EXPECT_EQ(samples[i].queues[0].sq_doorbells, 0u);
+    EXPECT_EQ(samples[i].queues[0].sq_occupancy, 3);  // gauges carry over
+    EXPECT_EQ(samples[i].queues[0].inflight, 5);
+  }
+}
+
+// Every field of a sample, for exact comparison.
+std::string describe(const TelemetrySample& s) {
+  std::string out = std::to_string(s.index) + " " +
+                    std::to_string(s.start_ns) + "-" +
+                    std::to_string(s.end_ns) + " flow";
+  for (const auto& per_dir : s.flow) {
+    for (const obs::FlowCell& cell : per_dir) {
+      out += " " + std::to_string(cell.tlps) + "/" +
+             std::to_string(cell.data_bytes) + "/" +
+             std::to_string(cell.wire_bytes);
+    }
+  }
+  out += " payload " + std::to_string(s.payload_bytes) + " stages";
+  for (std::size_t i = 0; i < obs::kStageCount; ++i) {
+    out += " " + std::to_string(s.stage_count[i]) + "/" +
+           std::to_string(s.stage_ns[i]);
+  }
+  out += " backlog " + std::to_string(s.backlog) + " waits " +
+         std::to_string(s.wait_count);
+  for (const std::uint64_t ns : s.wait_ns) out += " " + std::to_string(ns);
+  for (const obs::QueueWindow& q : s.queues) {
+    out += " q" + std::to_string(q.qid) + ":" +
+           std::to_string(q.sq_occupancy) + "," +
+           std::to_string(q.inflight) + "," +
+           std::to_string(q.sq_doorbells) + "," +
+           std::to_string(q.sq_entries) + "," +
+           std::to_string(q.cq_doorbells);
+  }
+  for (const obs::TenantWindow& t : s.tenants) {
+    out += " t" + std::to_string(t.tenant) + ":" +
+           std::to_string(t.admitted) + "," + std::to_string(t.rejected) +
+           "," + std::to_string(t.payload_bytes) + "," +
+           std::to_string(t.completions) + "," +
+           std::to_string(t.inflight_slots);
+  }
+  out += " policy " + std::to_string(s.policy_inline) + "," +
+         std::to_string(s.policy_dma) + "," +
+         std::to_string(s.policy_rejects) + "," +
+         std::to_string(s.policy_shedding);
+  return out;
+}
+
+std::vector<std::string> describe(const std::vector<TelemetrySample>& all) {
+  std::vector<std::string> out;
+  for (const TelemetrySample& s : all) out.push_back(describe(s));
+  return out;
+}
+
+class RecordingObserver : public Telemetry::WindowObserver {
+ public:
+  void on_window(const TelemetrySample& sample) override {
+    seen.push_back(describe(sample));
+  }
+  std::vector<std::string> seen;
+};
+
+// A Telemetry with every kind of source registered, driven by a schedule.
+struct IdleRunRig {
+  IdleRunRig(Nanoseconds window_ns, std::size_t max_windows, bool observe)
+      : telemetry(tiny_config(window_ns, max_windows)) {
+    telemetry.register_queue(1, &occupancy[0], &inflight[0]);
+    telemetry.register_queue(3, &occupancy[1], &inflight[1]);
+    telemetry.set_backlog_gauge(&backlog);
+    telemetry.register_tenant(0, &admitted, &rejected, &tenant_bytes,
+                              &completions, &slots);
+    telemetry.register_policy(&inline_decisions, &dma_decisions, &rejects,
+                              &shedding);
+    if (observe) telemetry.set_window_observer(&observer);
+  }
+
+  /// One hook, counter bump or gauge move picked by `pick`.
+  void poke(std::uint64_t pick, std::uint64_t value) {
+    switch (pick % 12) {
+      case 0:
+        telemetry.on_tlps(LinkDir(value % 2), TlpKind(value % 3), 1 + value % 4,
+                          value, value + 24);
+        break;
+      case 1: telemetry.on_payload(value); break;
+      case 2: telemetry.on_stage(obs::TraceStage(value % obs::kStageCount),
+                                 value); break;
+      case 3: telemetry.on_sq_doorbell(value % 2 ? 1 : 3, 1 + value % 8);
+        break;
+      case 4: telemetry.on_cq_doorbell(value % 2 ? 1 : 3); break;
+      case 5: {
+        obs::LatencyBreakdown breakdown;
+        breakdown.ns[value % obs::kWaitSegmentCount] = value;
+        telemetry.on_wait(breakdown);
+        break;
+      }
+      case 6: occupancy[value % 2].set(std::int64_t(value % 17)); break;
+      case 7: inflight[value % 2].set(std::int64_t(value % 9)); break;
+      case 8: backlog.set(std::int64_t(value % 5)); break;
+      case 9: admitted.add(value); slots.set(std::int64_t(value % 3)); break;
+      case 10: completions.increment(); rejected.add(value % 2); break;
+      default:
+        inline_decisions.add(value % 3);
+        dma_decisions.increment();
+        shedding.set(std::int64_t(value % 2));
+        break;
+    }
+  }
+
+  Telemetry telemetry;
+  obs::Gauge occupancy[2];
+  obs::Gauge inflight[2];
+  obs::Gauge backlog;
+  obs::Counter admitted, rejected, tenant_bytes, completions;
+  obs::Gauge slots;
+  obs::Counter inline_decisions, dma_decisions, rejects;
+  obs::Gauge shedding;
+  RecordingObserver observer;
+};
+
+// The idle-run ring must be invisible: a seeded schedule of hooks, jumps,
+// flushes and clears gives the same samples, TSV, counts and observer
+// calls whether time moves one window per call or in one call.
+TEST(TelemetryIdleRunTest, JumpingEqualsSteppingOneWindowPerCall) {
+  constexpr Nanoseconds kWindow = 100;
+  for (const bool observe : {false, true}) {
+    for (const std::size_t max_windows : {1u, 3u, 7u, 40u, 1u << 16}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("observe=" + std::to_string(observe) + " max_windows=" +
+                     std::to_string(max_windows) + " seed=" +
+                     std::to_string(seed));
+        IdleRunRig jump(kWindow, max_windows, observe);
+        IdleRunRig step(kWindow, max_windows, observe);
+        std::mt19937_64 rng(seed);
+        Nanoseconds now = 0;
+        // Advances `step` one window boundary per call up to `to`.
+        const auto step_to = [&](Nanoseconds to) {
+          for (Nanoseconds t = now + kWindow; t < to; t += kWindow) {
+            step.telemetry.advance_to(t);
+          }
+          step.telemetry.advance_to(to);
+        };
+        for (int op = 0; op < 300; ++op) {
+          const std::uint64_t pick = rng() % 100;
+          if (pick < 50) {
+            const std::uint64_t what = rng();
+            const std::uint64_t value = rng() % 1000;
+            jump.poke(what, value);
+            step.poke(what, value);
+            continue;
+          }
+          if (pick < 95) {
+            const std::uint64_t kind = rng() % 4;
+            const Nanoseconds to =
+                now + (kind == 0   ? rng() % kWindow
+                       : kind == 1 ? rng() % (4 * kWindow)
+                       : kind == 2 ? rng() % (60 * kWindow)
+                                   : rng() % (300 * kWindow));
+            step_to(to);
+            if (pick < 90) {
+              jump.telemetry.advance_to(to);
+            } else {
+              jump.telemetry.flush(to);
+              step.telemetry.flush(to);
+            }
+            now = to;
+            continue;
+          }
+          jump.telemetry.clear(now);
+          step.telemetry.clear(now);
+        }
+        step_to(now + 3 * kWindow + 7);
+        jump.telemetry.flush(now + 3 * kWindow + 7);
+        step.telemetry.flush(now + 3 * kWindow + 7);
+
+        const std::vector<TelemetrySample> got = jump.telemetry.samples();
+        const std::vector<TelemetrySample> want = step.telemetry.samples();
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(describe(got), describe(want));
+        EXPECT_EQ(Telemetry::dump_tsv(got, 2.0),
+                  Telemetry::dump_tsv(want, 2.0));
+        EXPECT_EQ(jump.telemetry.windows_closed(),
+                  step.telemetry.windows_closed());
+        EXPECT_EQ(jump.telemetry.windows_dropped(),
+                  step.telemetry.windows_dropped());
+        EXPECT_LE(got.size(), max_windows);
+        EXPECT_EQ(jump.observer.seen, step.observer.seen);
+      }
+    }
+  }
 }
 
 // --- testbed integration ---

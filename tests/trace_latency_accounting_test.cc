@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "core/testbed.h"
@@ -54,6 +55,12 @@ struct MethodCase {
   const char* name;
   TraceStage data_stage;  // the stage that must move this method's payload
 };
+
+// gtest would otherwise print the parameter's raw bytes, pointer included,
+// into the registered test name, which then changes from run to run.
+void PrintTo(const MethodCase& method_case, std::ostream* os) {
+  *os << method_case.name;
+}
 
 class LatencyAccounting : public ::testing::TestWithParam<MethodCase> {};
 
