@@ -1,7 +1,8 @@
 // Ablation — hybrid threshold sweep (§4.2's suggested optimization).
 //
-// ByteExpress + PRP with threshold-based switching: payloads at or below
-// the threshold go inline, larger ones use PRP. This sweeps the threshold
+// ByteExpress + PRP with threshold-based switching — kAuto with no policy
+// attached: payloads at or below NvmeDriver::Config::hybrid_threshold_bytes
+// go inline, larger ones use PRP. This sweeps the threshold
 // and reports mean latency over a MixGraph-like payload mix, locating the
 // optimum near the ByteExpress/PRP crossover (~256 B).
 #include <cstdio>
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
       fill_pattern(ByteSpan{payload.data(), size}, size);
       auto completion =
           testbed.raw_write(ConstByteSpan{payload.data(), size},
-                            driver::TransferMethod::kHybrid);
+                            driver::TransferMethod::kAuto);
       BX_ASSERT(completion.is_ok() && completion->ok());
       latency.record(completion->latency_ns);
       if (size <= threshold) ++inline_ops;

@@ -66,6 +66,7 @@ core::TestbedConfig BenchEnv::testbed_config() const {
       static_cast<std::uint16_t>(config.get_int("queues", 2));
   testbed.driver.io_queue_depth =
       static_cast<std::uint32_t>(config.get_int("depth", 256));
+  // kAuto's static cut when no policy is attached (§4.2 hybrid).
   testbed.driver.hybrid_threshold_bytes =
       static_cast<std::uint32_t>(config.get_int("hybrid.threshold", 256));
 

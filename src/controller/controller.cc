@@ -506,7 +506,7 @@ void Controller::handle_io(std::uint16_t qid,
 
   // Native data path.
   ByteVec payload;
-  if (length > 0 && !is_read_direction(sqe.io_opcode())) {
+  if (length > 0 && !nvme::is_read_direction(sqe.io_opcode())) {
     auto gathered = gather_host_data(qid, sqe, length);
     if (!gathered.is_ok()) {
       post_completion(
@@ -1139,18 +1139,6 @@ std::uint64_t Controller::io_data_length(const SubmissionQueueEntry& sqe) {
       return 0;
     default:
       return nvme::VendorFields::from(sqe).data_length;
-  }
-}
-
-bool Controller::is_read_direction(nvme::IoOpcode opcode) noexcept {
-  switch (opcode) {
-    case nvme::IoOpcode::kRead:
-    case nvme::IoOpcode::kVendorRawRead:
-    case nvme::IoOpcode::kVendorKvRetrieve:
-    case nvme::IoOpcode::kVendorKvIterate:
-      return true;
-    default:
-      return false;
   }
 }
 

@@ -352,7 +352,6 @@ class Controller {
   void drain_deferred();
 
   static std::uint64_t io_data_length(const nvme::SubmissionQueueEntry& sqe);
-  static bool is_read_direction(nvme::IoOpcode opcode) noexcept;
 
   DmaMemory& memory_;
   pcie::PcieLink& link_;

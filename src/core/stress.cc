@@ -36,35 +36,14 @@ struct Op {
   bool submitted = false;
 };
 
-/// SQ slots one op occupies (the burst-budget unit).
+/// SQ slots one op of a concrete method occupies (the burst-budget unit):
+/// the command plus its inline chunks, or one command per BandSlim
+/// fragment.
 std::uint32_t slots_for(TransferMethod method, std::uint64_t len) {
-  switch (method) {
-    case TransferMethod::kPrp:
-    case TransferMethod::kSgl:
-      return 1;
-    case TransferMethod::kByteExpress:
-      return 1 + nvme::inline_chunk::raw_chunks_for(len);
-    case TransferMethod::kByteExpressOoo:
-      return 1 + nvme::inline_chunk::ooo_chunks_for(len);
-    case TransferMethod::kBandSlim:
-      return nvme::bandslim::commands_for(len);
-    case TransferMethod::kHybrid:
-    case TransferMethod::kAuto:
-      break;
+  if (method == TransferMethod::kBandSlim) {
+    return nvme::bandslim::commands_for(len);
   }
-  BX_ASSERT_MSG(false, "hybrid/auto must be resolved before budgeting");
-  return 0;
-}
-
-/// Mirrors NvmeDriver::resolve_method for the write-only ops the harness
-/// issues (len >= 1 and <= max_inline, so only the hybrid switch matters).
-TransferMethod effective_method(TransferMethod method, std::uint64_t len,
-                                const driver::NvmeDriver::Config& config) {
-  if (method == TransferMethod::kHybrid) {
-    return len <= config.hybrid_threshold_bytes ? TransferMethod::kByteExpress
-                                                : TransferMethod::kPrp;
-  }
-  return method;
+  return 1 + driver::inline_slots_for(method, len);
 }
 
 constexpr int kTrafficClasses = static_cast<int>(pcie::TrafficClass::kCount_);
@@ -304,9 +283,8 @@ void verify_ring_layout(Testbed& bed, std::uint16_t qid,
       case TransferMethod::kPrp:
       case TransferMethod::kSgl:
         break;
-      case TransferMethod::kHybrid:
       case TransferMethod::kAuto:
-        return fail_at(index, "unresolved hybrid/auto op");
+        return fail_at(index, "unresolved auto op");
     }
   }
 
@@ -334,8 +312,12 @@ void verify_ring_layout(Testbed& bed, std::uint16_t qid,
 
 StressResult run_stress(const StressOptions& options) {
   StressResult result;
+  // The ring walk checks each planned op against the wire, so every
+  // method must be concrete: kAuto would resolve behind the harness.
   if (options.submitters == 0 || options.io_queues == 0 ||
       options.rounds == 0 || options.methods.empty() ||
+      std::count(options.methods.begin(), options.methods.end(),
+                 TransferMethod::kAuto) > 0 ||
       options.max_payload_bytes == 0) {
     result.status = invalid_argument("bad stress options");
     result.failure = "bad stress options";
@@ -398,11 +380,9 @@ StressResult run_stress(const StressOptions& options) {
       op->submitter =
           static_cast<std::uint16_t>(rng() % options.submitters);
       op->qid = static_cast<std::uint16_t>(1 + rng() % options.io_queues);
-      const TransferMethod requested =
-          options.methods[rng() % options.methods.size()];
+      op->method = options.methods[rng() % options.methods.size()];
       const std::uint32_t len =
           1 + static_cast<std::uint32_t>(rng() % payload_cap);
-      op->method = effective_method(requested, len, config.driver);
       op->payload.resize(len);
       const auto fill = static_cast<Byte>(rng());
       for (std::uint32_t b = 0; b < len; ++b) {
@@ -783,7 +763,7 @@ FaultSweepResult run_fault_sweep(const FaultSweepOptions& options) {
         payloads[g][b] = static_cast<Byte>(fill + b * 7);
       }
       requests[g].opcode = nvme::IoOpcode::kVendorRawWrite;
-      requests[g].method = effective_method(options.method, len, config.driver);
+      requests[g].method = options.method;
       requests[g].write_data = {payloads[g].data(), payloads[g].size()};
     }
     result.ops_attempted += group;

@@ -52,7 +52,7 @@ struct TestbedConfig {
   std::uint64_t fault_seed = 0x5eed;
   /// Adaptive method selection (TransferMethod::kAuto, docs/POLICY.md).
   /// When enabled an AdaptivePolicy is built and attached to the driver
-  /// and telemetry; otherwise kAuto degrades to kHybrid semantics. The
+  /// and telemetry; otherwise kAuto is §4.2's static hybrid rule. The
   /// feasibility mirror (`policy.max_inline_bytes`) and link rate
   /// (`policy.link_bytes_per_ns`) are overwritten at assembly from the
   /// driver and link configs so they cannot drift.

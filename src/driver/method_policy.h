@@ -43,7 +43,7 @@ class MethodPolicy {
   virtual ~MethodPolicy() = default;
 
   /// Resolves one kAuto request on `qid` at sim-time `now`. Must return a
-  /// concrete, feasible method (never kHybrid/kAuto); infeasible choices
+  /// concrete, feasible method (never kAuto); infeasible choices
   /// would re-route through the driver's fallback machinery and pollute
   /// its fallback accounting.
   [[nodiscard]] virtual PolicyDecision decide(const IoRequest& request,

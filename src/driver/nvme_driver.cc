@@ -211,17 +211,14 @@ void NvmeDriver::bind_metrics(obs::MetricsRegistry& metrics) {
   metrics.expose_counter("driver.commands", &total_commands_);
   metrics.expose_gauge("driver.doorbells_per_kop", &doorbells_per_kop_);
   batch_size_metric_ = &metrics.histogram("driver.batch_size");
-  // Per-method wait-breakdown histograms, "driver.wait.<method>.<segment>".
-  // kHybrid and kAuto resolve before submission so their rows stay
-  // unbound — completed commands land in their resolved method's row.
+  // Per-method wait-breakdown histograms, "driver.wait.<method>.<segment>",
+  // one row per concrete method (completed commands land in their
+  // resolved method's row).
   for (std::size_t m = 0; m < wait_hists_.size(); ++m) {
-    const auto method = static_cast<TransferMethod>(m);
-    if (method == TransferMethod::kHybrid ||
-        method == TransferMethod::kAuto) {
-      continue;
-    }
     const std::string prefix =
-        "driver.wait." + std::string(transfer_method_name(method)) + ".";
+        "driver.wait." +
+        std::string(transfer_method_name(static_cast<TransferMethod>(m))) +
+        ".";
     for (std::size_t s = 0; s < obs::kWaitSegmentCount; ++s) {
       wait_hists_[m][s] = &metrics.histogram(
           prefix + std::string(obs::wait_segment_name(
@@ -275,31 +272,6 @@ std::size_t NvmeDriver::pending_count_for_test(std::uint16_t qid) {
   return qp.pending.size();
 }
 
-bool NvmeDriver::is_write_direction(nvme::IoOpcode opcode) noexcept {
-  switch (opcode) {
-    case nvme::IoOpcode::kWrite:
-    case nvme::IoOpcode::kVendorRawWrite:
-    case nvme::IoOpcode::kVendorKvStore:
-    case nvme::IoOpcode::kVendorCsdFilter:
-    case nvme::IoOpcode::kVendorPartialWrite:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool NvmeDriver::is_read_direction(nvme::IoOpcode opcode) noexcept {
-  switch (opcode) {
-    case nvme::IoOpcode::kRead:
-    case nvme::IoOpcode::kVendorRawRead:
-    case nvme::IoOpcode::kVendorKvRetrieve:
-    case nvme::IoOpcode::kVendorKvIterate:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool NvmeDriver::is_retryable(nvme::StatusField status) noexcept {
   if (status.type != nvme::StatusCodeType::kGeneric) return false;
   switch (static_cast<nvme::GenericStatus>(status.code)) {
@@ -316,20 +288,6 @@ bool NvmeDriver::is_inline_method(TransferMethod method) noexcept {
   return method == TransferMethod::kByteExpress ||
          method == TransferMethod::kByteExpressOoo ||
          method == TransferMethod::kBandSlim;
-}
-
-std::uint32_t NvmeDriver::inline_slots_for(
-    TransferMethod method, std::uint64_t payload_len) noexcept {
-  switch (method) {
-    case TransferMethod::kByteExpress:
-      return nvme::inline_chunk::raw_chunks_for(payload_len);
-    case TransferMethod::kByteExpressOoo:
-      return nvme::inline_chunk::ooo_chunks_for(payload_len);
-    default:
-      // PRP/SGL carry no chunks; BandSlim fragments recycle slot by slot
-      // and never hold a run of the ring.
-      return 0;
-  }
 }
 
 std::uint64_t NvmeDriver::read_length_of(const IoRequest& request) noexcept {
@@ -391,82 +349,96 @@ void NvmeDriver::gate_release(Pending& pending, bool completed) noexcept {
   }
 }
 
+StatusOr<TransferMethod> NvmeDriver::decide_auto(const IoRequest& request,
+                                                 std::uint16_t qid) const {
+  // Keep the policy's window-driven signals fresh at decision time: close
+  // any telemetry windows the clock has moved past (one relaxed load when
+  // still inside the current window).
+  const Nanoseconds now = link_.clock().now();
+  if (telemetry_ != nullptr) telemetry_->advance_to(now);
+  const PolicyDecision decision = policy_->decide(request, qid, now);
+  if (decision.shed) {
+    return resource_exhausted(
+        "adaptive policy sheds load on qid " + std::to_string(qid) +
+        " (overload watermark crossed; retry after drain)");
+  }
+  return decision.method;
+}
+
+bool NvmeDriver::is_degraded(const InlineHealth& health) const noexcept {
+  return config_.degrade_threshold > 0 &&
+         link_.clock().now() <
+             health.degraded_until.load(std::memory_order_relaxed);
+}
+
+void NvmeDriver::note_inline_outcome(InlineHealth& health, bool success,
+                                     obs::Counter& degradations) noexcept {
+  if (success) {
+    health.failures.store(0, std::memory_order_relaxed);
+    return;
+  }
+  if (config_.degrade_threshold == 0) return;
+  const std::uint32_t fails =
+      health.failures.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (fails < config_.degrade_threshold) return;
+  health.degraded_until.store(link_.clock().now() + config_.degrade_reprobe_ns,
+                              std::memory_order_relaxed);
+  health.failures.store(0, std::memory_order_relaxed);
+  degradations.increment();
+}
+
 StatusOr<NvmeDriver::ResolvedMethod> NvmeDriver::resolve_method(
     const IoRequest& request, std::uint16_t qid) const {
   ResolvedMethod resolved;
   TransferMethod method = request.method;
   const std::uint64_t len = request.write_data.size();
-
+  // Inline transfer only exists host->device: reads and payload-less
+  // commands take their native path without counting as a fallback.
+  const bool has_payload = nvme::is_write_direction(request.opcode) && len > 0;
   // The largest payload that can actually go inline on this queue: the
   // config cap AND the ring-capacity bound (command + chunks must fit the
   // depth - 1 usable slots).
   const std::uint64_t inline_cap = std::min<std::uint64_t>(
       config_.max_inline_bytes,
       std::uint64_t{config_.io_queue_depth - 2} * nvme::kChunkSize);
+  const QueuePair* qp =
+      qid >= 1 && qid <= io_queues_.size() ? io_queues_[qid - 1].get()
+                                           : nullptr;
 
   if (method == TransferMethod::kAuto) {
     if (policy_ != nullptr) {
-      // Keep the policy's window-driven signals fresh at decision time:
-      // close any telemetry windows the clock has moved past (one relaxed
-      // load when still inside the current window).
-      const Nanoseconds now = link_.clock().now();
-      if (telemetry_ != nullptr) telemetry_->advance_to(now);
-      const PolicyDecision decision = policy_->decide(request, qid, now);
-      if (decision.shed) {
-        return resource_exhausted(
-            "adaptive policy sheds load on qid " + std::to_string(qid) +
-            " (overload watermark crossed; retry after drain)");
-      }
-      method = decision.method;
+      auto decided = decide_auto(request, qid);
+      BX_RETURN_IF_ERROR(decided.status());
+      method = *decided;
       resolved.auto_decided = true;
     } else {
-      // No policy attached: kAuto degrades to the static hybrid rule.
-      method = TransferMethod::kHybrid;
+      // No policy attached: §4.2's static hybrid. The cut is clamped to
+      // what can actually go inline, so a threshold configured above
+      // max_inline_bytes (or the ring bound) classifies oversized payloads
+      // as PRP outright instead of as ByteExpress commands that take the
+      // feasibility fallback and inflate driver.inline_fallback_prp.
+      const std::uint64_t cut =
+          std::min<std::uint64_t>(config_.hybrid_threshold_bytes, inline_cap);
+      method = has_payload && len <= cut ? TransferMethod::kByteExpress
+                                         : TransferMethod::kPrp;
     }
   }
 
-  if (method == TransferMethod::kHybrid) {
-    // Clamp the hybrid cut to what can actually go inline: a threshold
-    // configured above max_inline_bytes (or the ring bound) must classify
-    // oversized payloads as PRP outright, not as ByteExpress commands
-    // that immediately take the feasibility-fallback branch and inflate
-    // driver.inline_fallback_prp.
-    const std::uint64_t cut =
-        std::min<std::uint64_t>(config_.hybrid_threshold_bytes, inline_cap);
-    method = (is_write_direction(request.opcode) && len > 0 && len <= cut)
-                 ? TransferMethod::kByteExpress
-                 : TransferMethod::kPrp;
-  }
-
-  bool inline_like = is_inline_method(method);
-  if (inline_like) {
-    // Inline transfer only exists host->device; reads and zero-length
-    // commands use the native path. A payload whose command + chunks can
-    // never fit the ring (depth - 1 usable slots) must also fall back —
-    // waiting would deadlock.
-    const std::uint32_t max_ring_payload =
-        method == TransferMethod::kBandSlim
-            ? UINT32_MAX  // BandSlim commands recycle slot by slot
-            : (config_.io_queue_depth - 2) * nvme::kChunkSize;
-    if (!is_write_direction(request.opcode) || len == 0 ||
-        len > config_.max_inline_bytes || len > max_ring_payload) {
-      if (!config_.auto_fallback_to_prp) {
-        return failed_precondition(
-            "payload cannot go inline and PRP fallback is disabled");
-      }
+  if (is_inline_method(method)) {
+    // A payload whose command + chunks can never fit the ring (depth - 1
+    // usable slots) must fall back — waiting would deadlock. BandSlim
+    // commands recycle slot by slot, so only the config cap bounds them.
+    const std::uint64_t cap = method == TransferMethod::kBandSlim
+                                  ? config_.max_inline_bytes
+                                  : inline_cap;
+    if (!has_payload) {
+      method = TransferMethod::kPrp;
+    } else if (len > cap) {
       method = TransferMethod::kPrp;
       resolved.feasibility_fallback = true;
-      inline_like = false;
-    }
-  }
-
-  // Graceful degradation: a queue that keeps failing inline commands
-  // routes them through PRP until its re-probe time passes.
-  if (inline_like && config_.degrade_threshold > 0 && qid >= 1 &&
-      qid <= io_queues_.size()) {
-    const QueuePair& qp = *io_queues_[qid - 1];
-    if (link_.clock().now() <
-        qp.degraded_until.load(std::memory_order_relaxed)) {
+    } else if (qp != nullptr && is_degraded(qp->write_health)) {
+      // Graceful degradation: a queue that keeps failing inline commands
+      // routes them through PRP until its re-probe time passes.
       method = TransferMethod::kPrp;
       resolved.degraded = true;
     }
@@ -478,15 +450,12 @@ StatusOr<NvmeDriver::ResolvedMethod> NvmeDriver::resolve_method(
   // ring-slot reservation fails at submit time, and the return path if
   // the queue's read side is degraded.
   if (config_.inline_read_enabled && inline_read_supported_ &&
-      is_read_direction(request.opcode) && !request.discard_read_data &&
-      qid >= 1 && qid <= io_queues_.size()) {
+      nvme::is_read_direction(request.opcode) && !request.discard_read_data &&
+      qp != nullptr) {
     const std::uint64_t read_len = read_length_of(request);
-    const QueuePair& qp = *io_queues_[qid - 1];
     if (read_len > 0 && read_len <= config_.max_inline_read_bytes &&
-        inr::read_chunks_for(read_len) <= qp.read_ring_slots) {
-      if (config_.degrade_threshold > 0 &&
-          link_.clock().now() <
-              qp.read_degraded_until.load(std::memory_order_relaxed)) {
+        inr::read_chunks_for(read_len) <= qp->read_ring_slots) {
+      if (is_degraded(qp->read_health)) {
         resolved.degraded = true;
       } else {
         resolved.inline_read = true;
@@ -512,8 +481,8 @@ nvme::SubmissionQueueEntry NvmeDriver::build_base_sqe(
   } else {
     nvme::VendorFields fields;
     fields.data_length = static_cast<std::uint32_t>(
-        is_read_direction(request.opcode) ? request.read_buffer.size()
-                                          : request.write_data.size());
+        nvme::is_read_direction(request.opcode) ? request.read_buffer.size()
+                                                : request.write_data.size());
     fields.aux = request.aux << 8;
     fields.apply(sqe);
     if (request.key.key_len > 0) request.key.apply(sqe);
@@ -530,7 +499,7 @@ nvme::SubmissionQueueEntry NvmeDriver::build_base_sqe(
 Status NvmeDriver::attach_data_prp(nvme::SubmissionQueueEntry& sqe,
                                    Pending& pending,
                                    const IoRequest& request) {
-  const bool read_dir = is_read_direction(request.opcode);
+  const bool read_dir = nvme::is_read_direction(request.opcode);
   const std::uint64_t len =
       read_dir ? request.read_buffer.size() : request.write_data.size();
   if (len == 0) return Status::ok();  // e.g. flush, delete, exist
@@ -554,7 +523,7 @@ Status NvmeDriver::attach_data_prp(nvme::SubmissionQueueEntry& sqe,
 Status NvmeDriver::attach_data_sgl(nvme::SubmissionQueueEntry& sqe,
                                    Pending& pending,
                                    const IoRequest& request) {
-  const bool read_dir = is_read_direction(request.opcode);
+  const bool read_dir = nvme::is_read_direction(request.opcode);
 
   if (read_dir && request.discard_read_data) {
     // §5: a bit bucket absorbs the read data on the device side; no host
@@ -835,10 +804,8 @@ Status NvmeDriver::prepare(const IoRequest& request, std::uint16_t qid,
       case TransferMethod::kBandSlim:
         prep.slots = 0;
         break;
-      case TransferMethod::kHybrid:
       case TransferMethod::kAuto:
-        return internal_error(
-            "hybrid/auto must be resolved before submission");
+        return internal_error("auto must be resolved before submission");
     }
   }
 
@@ -992,7 +959,7 @@ void NvmeDriver::record_submitted(QueuePair& qp,
   }
   for (const Prepared& prep : run) {
     const IoRequest& request = *prep.request;
-    if (telemetry_ != nullptr && is_write_direction(request.opcode)) {
+    if (telemetry_ != nullptr && nvme::is_write_direction(request.opcode)) {
       telemetry_->on_payload(request.write_data.size());
     }
     if (tracer_ != nullptr && tracer_->enabled()) {
@@ -1386,14 +1353,14 @@ StatusOr<Completion> NvmeDriver::finish_with_retries(const IoRequest& request,
   QueuePair& qp = queue(qid);
   std::uint32_t failed_attempts = 0;
   for (std::uint32_t attempt = 0;; ++attempt) {
-    const bool inline_attempt = is_inline_method(resolved.method);
-    if (completion.status.is_success()) {
-      if (inline_attempt) {
-        qp.inline_failures.store(0, std::memory_order_relaxed);
-      }
-      if (resolved.inline_read) {
-        qp.read_inline_failures.store(0, std::memory_order_relaxed);
-      }
+    const bool success = completion.status.is_success();
+    if (is_inline_method(resolved.method)) {
+      note_inline_outcome(qp.write_health, success, degradations_);
+    }
+    if (resolved.inline_read) {
+      note_inline_outcome(qp.read_health, success, inline_read_degradations_);
+    }
+    if (success) {
       // Every failed attempt that this success redeems was one injected
       // fault; classify it so injected == recovered + degraded + failed.
       if (failed_attempts > 0) {
@@ -1406,32 +1373,6 @@ StatusOr<Completion> NvmeDriver::finish_with_retries(const IoRequest& request,
       return completion;
     }
     ++failed_attempts;
-    if (inline_attempt && config_.degrade_threshold > 0) {
-      const std::uint32_t fails =
-          qp.inline_failures.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (fails >= config_.degrade_threshold) {
-        qp.degraded_until.store(
-            link_.clock().now() + config_.degrade_reprobe_ns,
-            std::memory_order_relaxed);
-        qp.inline_failures.store(0, std::memory_order_relaxed);
-        degradations_.increment();
-      }
-    }
-    // Read-side degradation mirrors the write-inline path: N consecutive
-    // failed inline-read attempts route the queue's reads through PRP
-    // until the re-probe time passes.
-    if (resolved.inline_read && config_.degrade_threshold > 0) {
-      const std::uint32_t fails =
-          qp.read_inline_failures.fetch_add(1, std::memory_order_relaxed) +
-          1;
-      if (fails >= config_.degrade_threshold) {
-        qp.read_degraded_until.store(
-            link_.clock().now() + config_.degrade_reprobe_ns,
-            std::memory_order_relaxed);
-        qp.read_inline_failures.store(0, std::memory_order_relaxed);
-        inline_read_degradations_.increment();
-      }
-    }
     if (!is_retryable(completion.status) || attempt >= config_.max_retries) {
       faults_failed_.add(failed_attempts);
       return completion;
@@ -1584,7 +1525,8 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
       return invalid_argument("bad qid in stripe set");
     }
   }
-  if (!is_write_direction(request.opcode) || request.write_data.empty()) {
+  if (!nvme::is_write_direction(request.opcode) ||
+      request.write_data.empty()) {
     return invalid_argument("OOO striping requires a write-direction payload");
   }
   if (request.write_data.size() > config_.max_inline_bytes) {
@@ -1594,14 +1536,7 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
   // OOO method — but the policy's overload backpressure still applies:
   // the home queue sheds before the stripe set claims any slots.
   if (request.method == TransferMethod::kAuto && policy_ != nullptr) {
-    const Nanoseconds now = link_.clock().now();
-    if (telemetry_ != nullptr) telemetry_->advance_to(now);
-    if (policy_->decide(request, qids.front(), now).shed) {
-      return resource_exhausted(
-          "adaptive policy sheds load on qid " +
-          std::to_string(qids.front()) +
-          " (overload watermark crossed; retry after drain)");
-    }
+    BX_RETURN_IF_ERROR(decide_auto(request, qids.front()).status());
   }
 
   const std::uint16_t home_qid = qids.front();

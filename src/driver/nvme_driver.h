@@ -81,13 +81,12 @@ class NvmeDriver {
     std::uint32_t io_queue_depth = 256;
     std::uint32_t admin_queue_depth = 32;
     nvme::HostTimingModel timing{};
-    /// kHybrid: payloads at or below this go inline, above go PRP (§4.2).
+    /// kAuto with no policy attached (§4.2's static hybrid): payloads at
+    /// or below this go ByteExpress, above go PRP.
     std::uint32_t hybrid_threshold_bytes = 256;
-    /// The driver refuses to inline payloads above this (SQ depth bound).
+    /// The driver inlines no payload above this (SQ depth bound); a larger
+    /// payload submitted with an inline method falls back to PRP.
     std::uint32_t max_inline_bytes = 8192;
-    /// Fall back to PRP instead of failing when a payload cannot go inline
-    /// (read-direction command, too large, queue too shallow).
-    bool auto_fallback_to_prp = true;
 
     // ---- ByteExpress-R inline read completions (docs/READPATH.md) ----
 
@@ -224,8 +223,9 @@ class NvmeDriver {
   /// How resolve_method() arrived at the transfer method actually used.
   struct ResolvedMethod {
     TransferMethod method = TransferMethod::kPrp;
-    /// The inline request could not go inline (read direction, too large,
-    /// ring too shallow) and fell back to PRP.
+    /// The inline write's payload could not go inline (above
+    /// max_inline_bytes, or ring too shallow) and fell back to PRP. Reads
+    /// and payload-less commands take PRP natively and never set this.
     bool feasibility_fallback = false;
     /// The queue is in degraded mode, so the inline request went PRP.
     bool degraded = false;
@@ -429,6 +429,16 @@ class NvmeDriver {
     Nanoseconds bell_end_ns = 0;
   };
 
+  /// Graceful-degradation state of one inline path on one queue: after
+  /// Config::degrade_threshold consecutive failed attempts the path routes
+  /// through PRP until degrade_reprobe_ns of sim-time passes.
+  struct InlineHealth {
+    /// Consecutive failed attempts (reset by any success).
+    std::atomic<std::uint32_t> failures{0};
+    /// Sim-time until which the path is routed through PRP (0 = healthy).
+    std::atomic<Nanoseconds> degraded_until{0};
+  };
+
   struct QueuePair {
     std::unique_ptr<nvme::SqRing> sq;
     std::unique_ptr<nvme::CqRing> cq;
@@ -448,12 +458,8 @@ class NvmeDriver {
     /// pending.size() (updated under pending_mutex).
     obs::Gauge sq_occupancy;
     obs::Gauge inflight;
-    /// Consecutive failed inline attempts on this queue (graceful
-    /// degradation bookkeeping; reset by any inline success).
-    std::atomic<std::uint32_t> inline_failures{0};
-    /// Sim-time until which inline requests on this queue are routed
-    /// through PRP (0 = healthy).
-    std::atomic<Nanoseconds> degraded_until{0};
+    /// Graceful degradation of the queue's inline writes.
+    InlineHealth write_health;
     /// ByteExpress-R: the host completion ring adjacent to the CQ
     /// (read_ring_slots x 64 B), its slot count, and the outstanding
     /// slot reservation. Reservations are claimed by CAS at submit and
@@ -469,9 +475,8 @@ class NvmeDriver {
     /// section and telemetry sample it; the atomic itself stays the
     /// source of truth for the CAS reservation protocol).
     obs::Gauge read_ring_occupancy;
-    /// Read-path degradation mirrors the write-inline trio above.
-    std::atomic<std::uint32_t> read_inline_failures{0};
-    std::atomic<Nanoseconds> read_degraded_until{0};
+    /// Graceful degradation of the queue's inline (ByteExpress-R) reads.
+    InlineHealth read_health;
     /// Per-queue doorbell accounting (exposed as driver.qN.* by
     /// init_io_queues). sq_doorbells counts BAR MWr writes — one per
     /// ring, NOT one per command, so coalesced batches keep
@@ -483,14 +488,24 @@ class NvmeDriver {
   };
 
   [[nodiscard]] QueuePair& queue(std::uint16_t qid);
-  /// Resolves hybrid switching, inline-feasibility fallbacks and queue
-  /// degradation (all reported in the result); fails with
-  /// kFailedPrecondition when the payload cannot go inline and
-  /// auto_fallback_to_prp is disabled.
+  /// Resolves kAuto (policy decision, or the static hybrid rule with no
+  /// policy), inline-feasibility fallbacks and queue degradation (all
+  /// reported in the result); fails with kResourceExhausted when the
+  /// policy sheds the command.
   [[nodiscard]] StatusOr<ResolvedMethod> resolve_method(
       const IoRequest& request, std::uint16_t qid) const;
-  static bool is_write_direction(nvme::IoOpcode opcode) noexcept;
-  static bool is_read_direction(nvme::IoOpcode opcode) noexcept;
+  /// Consults the attached policy for one kAuto command on `qid` after
+  /// closing the telemetry windows the clock has passed; a shed decision
+  /// becomes kResourceExhausted. Requires policy_ != nullptr.
+  [[nodiscard]] StatusOr<TransferMethod> decide_auto(const IoRequest& request,
+                                                     std::uint16_t qid) const;
+  /// True while `health` routes its path through PRP.
+  [[nodiscard]] bool is_degraded(const InlineHealth& health) const noexcept;
+  /// Books one inline attempt's outcome on `health`: a success resets the
+  /// failure run; the failure that reaches degrade_threshold degrades the
+  /// path and bumps `degradations`.
+  void note_inline_outcome(InlineHealth& health, bool success,
+                           obs::Counter& degradations) noexcept;
   /// True for statuses the NVMe "do not retry" logic treats as transient:
   /// Data Transfer Error, Namespace Not Ready, Abort Requested.
   static bool is_retryable(nvme::StatusField status) noexcept;
@@ -658,10 +673,6 @@ class NvmeDriver {
   std::atomic<std::uint32_t> next_payload_id_{1};  // OOO payload ids
   std::atomic<Nanoseconds> last_submit_cost_ns_{0};
 
-  /// Inline-chunk slots a command of `method` occupies beyond its SQE —
-  /// what the submission gate charges against the inline budget.
-  static std::uint32_t inline_slots_for(TransferMethod method,
-                                        std::uint64_t payload_len) noexcept;
   /// Consults the gate (when attached) for one command about to claim
   /// ring slots; fills `pending`'s gate bookkeeping on admission. Inline
   /// reads are charged their completion-ring slot count against the same
@@ -727,10 +738,10 @@ class NvmeDriver {
 
   /// Per-method x per-segment wait-breakdown histograms
   /// ("driver.wait.<method>.<segment>", registry-owned, cached by
-  /// bind_metrics; null when unbound). Indexed [TransferMethod][segment];
-  /// kHybrid and kAuto resolve before submission so their rows stay
-  /// empty (commands land in their resolved method's row).
-  std::array<std::array<obs::Histogram*, obs::kWaitSegmentCount>, 7>
+  /// bind_metrics; null when unbound). Indexed [TransferMethod][segment]
+  /// over the concrete methods, which are exactly those below kAuto.
+  std::array<std::array<obs::Histogram*, obs::kWaitSegmentCount>,
+             static_cast<std::size_t>(TransferMethod::kAuto)>
       wait_hists_{};
 };
 

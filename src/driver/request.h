@@ -15,23 +15,29 @@ namespace bx::driver {
 /// How the payload crosses PCIe. kPrp/kSgl are the NVMe-native mechanisms;
 /// kBandSlim is the CMD-based prior work; kByteExpress is the paper's
 /// queue-local inline transfer; kByteExpressOoo is the §3.3.2 future-work
-/// identifier-based variant; kHybrid switches ByteExpress<->PRP at a
-/// static threshold (§4.2's suggested optimization); kAuto delegates the
-/// choice per command to the attached driver::MethodPolicy (live
-/// congestion signals + overload backpressure, docs/POLICY.md) and
-/// behaves like kHybrid when no policy is attached. kHybrid and kAuto
-/// always resolve to a concrete method before submission.
+/// identifier-based variant. kAuto delegates the choice per command to
+/// the attached driver::MethodPolicy (live congestion signals + overload
+/// backpressure, docs/POLICY.md); with no policy attached it is §4.2's
+/// static hybrid: payloads at or below NvmeDriver::Config::
+/// hybrid_threshold_bytes go ByteExpress, larger ones PRP. kAuto always
+/// resolves to a concrete method before submission.
 enum class TransferMethod : std::uint8_t {
   kPrp,
   kSgl,
   kByteExpress,
   kByteExpressOoo,
   kBandSlim,
-  kHybrid,
-  kAuto,
+  kAuto,  // stays last: every method below it is concrete
 };
 
 std::string_view transfer_method_name(TransferMethod method) noexcept;
+
+/// Inline-chunk SQ slots a command of `method` occupies beyond its SQE —
+/// what a SubmissionGate charges against a tenant's inline budget. PRP/SGL
+/// carry no chunks; BandSlim fragments recycle slot by slot and never hold
+/// a run of the ring.
+std::uint32_t inline_slots_for(TransferMethod method,
+                               std::uint64_t payload_len) noexcept;
 
 struct IoRequest {
   nvme::IoOpcode opcode = nvme::IoOpcode::kVendorRawWrite;

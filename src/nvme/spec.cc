@@ -21,4 +21,29 @@ std::string_view io_opcode_name(IoOpcode op) noexcept {
   return "unknown";
 }
 
+bool is_write_direction(IoOpcode op) noexcept {
+  switch (op) {
+    case IoOpcode::kWrite:
+    case IoOpcode::kVendorRawWrite:
+    case IoOpcode::kVendorKvStore:
+    case IoOpcode::kVendorCsdFilter:
+    case IoOpcode::kVendorPartialWrite:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool is_read_direction(IoOpcode op) noexcept {
+  switch (op) {
+    case IoOpcode::kRead:
+    case IoOpcode::kVendorRawRead:
+    case IoOpcode::kVendorKvRetrieve:
+    case IoOpcode::kVendorKvIterate:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace bx::nvme

@@ -119,6 +119,14 @@ enum class IoOpcode : std::uint8_t {
 
 std::string_view io_opcode_name(IoOpcode op) noexcept;
 
+/// Data direction of an I/O command. Write-direction commands carry a
+/// host->device payload (block and raw writes, KV stores, CSD tasks,
+/// partial writes); read-direction commands return device->host data
+/// (block and raw reads, KV retrieve and iterate). Flush, KV delete/exist
+/// and BandSlim fragment carriers are neither.
+bool is_write_direction(IoOpcode op) noexcept;
+bool is_read_direction(IoOpcode op) noexcept;
+
 // ------------------------------------------------------------ status codes
 
 enum class StatusCodeType : std::uint8_t {

@@ -3,27 +3,9 @@
 #include <string>
 #include <utility>
 
-#include "nvme/inline_wire.h"
+#include "driver/request.h"
 
 namespace bx::tenant {
-
-namespace {
-
-/// Inline-chunk SQ slots the gate will charge for `method` — mirrors the
-/// driver's charge so would_admit() previews the real decision.
-std::uint32_t inline_slots_for(driver::TransferMethod method,
-                               std::uint64_t payload_len) {
-  switch (method) {
-    case driver::TransferMethod::kByteExpress:
-      return nvme::inline_chunk::raw_chunks_for(payload_len);
-    case driver::TransferMethod::kByteExpressOoo:
-      return nvme::inline_chunk::ooo_chunks_for(payload_len);
-    default:
-      return 0;
-  }
-}
-
-}  // namespace
 
 TenantScheduler::TenantScheduler(core::Testbed& bed, SchedulerConfig config)
     : bed_(bed), gate_(config.tenants) {
@@ -104,7 +86,7 @@ bool TenantScheduler::would_admit(std::uint16_t tenant,
                                   std::uint64_t payload_bytes,
                                   driver::TransferMethod method) {
   return gate_.would_admit(tenant, payload_bytes,
-                           inline_slots_for(method, payload_bytes),
+                           driver::inline_slots_for(method, payload_bytes),
                            bed_.clock().now());
 }
 

@@ -55,7 +55,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TransferMethod::kPrp, TransferMethod::kSgl,
                       TransferMethod::kByteExpress,
                       TransferMethod::kByteExpressOoo,
-                      TransferMethod::kBandSlim, TransferMethod::kHybrid),
+                      TransferMethod::kBandSlim, TransferMethod::kAuto),
     [](const ::testing::TestParamInfo<TransferMethod>& info) {
       return std::string(driver::transfer_method_name(info.param));
     });

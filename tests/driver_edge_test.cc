@@ -144,9 +144,10 @@ TEST(DriverEdgeTest, RetryBackoffShiftSaturatesAtCap) {
             3u * config.driver.retry_backoff_cap_ns);
 }
 
-// Regression: a hybrid threshold above max_inline_bytes classified
-// mid-size payloads as ByteExpress and then took the feasibility
-// fallback, inflating driver.inline_fallback_prp on every such write.
+// Regression: a hybrid threshold (kAuto with no policy attached) above
+// max_inline_bytes classified mid-size payloads as ByteExpress and then
+// took the feasibility fallback, inflating driver.inline_fallback_prp on
+// every such write.
 // resolve_method now clamps the threshold to the inline cap first, so
 // the payload resolves to PRP outright and the fallback counter stays a
 // pure infeasibility signal.
@@ -154,13 +155,14 @@ TEST(DriverEdgeTest, HybridThresholdClampedToInlineCap) {
   auto config = test::small_testbed_config();
   config.driver.hybrid_threshold_bytes = 16'384;  // > max_inline_bytes
   Testbed testbed(config);
+  ASSERT_EQ(testbed.method_policy(), nullptr);
   ASSERT_GT(config.driver.hybrid_threshold_bytes,
             config.driver.max_inline_bytes);
 
   // Inside the configured threshold, above the inline cap (8192).
   ByteVec payload(12'000);
   fill_pattern(payload, 3);
-  auto completion = testbed.raw_write(payload, TransferMethod::kHybrid);
+  auto completion = testbed.raw_write(payload, TransferMethod::kAuto);
   ASSERT_TRUE(completion.is_ok());
   EXPECT_TRUE(completion->ok());
   EXPECT_EQ(testbed.metrics().counter_value("driver.inline_fallback_prp"),
@@ -171,7 +173,7 @@ TEST(DriverEdgeTest, HybridThresholdClampedToInlineCap) {
   // signature).
   ByteVec small(128);
   fill_pattern(small, 4);
-  ASSERT_TRUE(testbed.raw_write(small, TransferMethod::kHybrid)->ok());
+  ASSERT_TRUE(testbed.raw_write(small, TransferMethod::kAuto)->ok());
   const auto& timing = testbed.config().driver.timing;
   EXPECT_EQ(testbed.driver().last_submit_cost(),
             timing.sqe_insert_ns + 2 * timing.chunk_insert_ns);

@@ -45,7 +45,7 @@ TransferMethod random_method(Rng& rng) {
   static constexpr TransferMethod kMethods[] = {
       TransferMethod::kPrp,           TransferMethod::kSgl,
       TransferMethod::kByteExpress,   TransferMethod::kByteExpressOoo,
-      TransferMethod::kBandSlim,      TransferMethod::kHybrid,
+      TransferMethod::kBandSlim,      TransferMethod::kAuto,
   };
   return kMethods[rng.next_below(std::size(kMethods))];
 }

@@ -60,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TransferMethod::kPrp, TransferMethod::kSgl,
                       TransferMethod::kByteExpress,
                       TransferMethod::kByteExpressOoo,
-                      TransferMethod::kBandSlim, TransferMethod::kHybrid),
+                      TransferMethod::kBandSlim, TransferMethod::kAuto),
     [](const ::testing::TestParamInfo<TransferMethod>& info) {
       return std::string(driver::transfer_method_name(info.param));
     });
@@ -197,11 +197,13 @@ TEST(KvIntegrationTest, KeyValidation) {
   EXPECT_TRUE(client.put("sixteen-bytes-ok", value).is_ok());
 }
 
+// The hybrid is kAuto with no policy attached.
 TEST(KvIntegrationTest, MixGraphValuesRideInlineBelowThresholdViaHybrid) {
   auto config = test::small_testbed_config();
   config.driver.hybrid_threshold_bytes = 256;
   Testbed testbed(config);
-  auto client = testbed.make_kv_client(TransferMethod::kHybrid);
+  ASSERT_EQ(testbed.method_policy(), nullptr);
+  auto client = testbed.make_kv_client(TransferMethod::kAuto);
   workload::MixGraphWorkload workload({.key_space = 200, .seed = 5});
 
   std::map<std::string, ByteVec> truth;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 
 #include "nvme/spec.h"
 
@@ -168,6 +169,38 @@ TEST(SpecTest, OpcodeNames) {
   EXPECT_EQ(io_opcode_name(IoOpcode::kVendorBandSlimFragment),
             "bandslim_fragment");
   EXPECT_EQ(io_opcode_name(static_cast<IoOpcode>(0x55)), "unknown");
+}
+
+// The one data-direction classifier the driver, controller and method
+// policy share, pinned for every opcode: the table must name each opcode
+// io_opcode_name() knows, and an unknown opcode moves no data.
+TEST(SpecTest, OpcodeDirectionTable) {
+  enum class Dir { kNone, kWrite, kRead };
+  const std::map<IoOpcode, Dir> table = {
+      {IoOpcode::kFlush, Dir::kNone},
+      {IoOpcode::kWrite, Dir::kWrite},
+      {IoOpcode::kRead, Dir::kRead},
+      {IoOpcode::kVendorKvStore, Dir::kWrite},
+      {IoOpcode::kVendorKvRetrieve, Dir::kRead},
+      {IoOpcode::kVendorKvDelete, Dir::kNone},
+      {IoOpcode::kVendorKvExist, Dir::kNone},
+      {IoOpcode::kVendorKvIterate, Dir::kRead},
+      {IoOpcode::kVendorCsdFilter, Dir::kWrite},
+      {IoOpcode::kVendorBandSlimFragment, Dir::kNone},
+      {IoOpcode::kVendorRawWrite, Dir::kWrite},
+      {IoOpcode::kVendorRawRead, Dir::kRead},
+      {IoOpcode::kVendorPartialWrite, Dir::kWrite},
+  };
+  for (unsigned raw = 0; raw <= 0xff; ++raw) {
+    const auto op = static_cast<IoOpcode>(raw);
+    const auto it = table.find(op);
+    if (it == table.end()) {
+      EXPECT_EQ(io_opcode_name(op), "unknown") << "untabled opcode " << raw;
+    }
+    const Dir dir = it == table.end() ? Dir::kNone : it->second;
+    EXPECT_EQ(is_write_direction(op), dir == Dir::kWrite) << raw;
+    EXPECT_EQ(is_read_direction(op), dir == Dir::kRead) << raw;
+  }
 }
 
 }  // namespace

@@ -195,8 +195,8 @@ TEST(AdaptivePolicyTest, ReadsResolveToPrpOversizedWritesToSgl) {
             TransferMethod::kSgl);
 }
 
-// End to end through the driver: kAuto with no policy attached degrades
-// to kHybrid semantics, with the policy it resolves and completes.
+// End to end through the driver: kAuto with no policy attached is the
+// static hybrid rule, with the policy it resolves and completes.
 TEST(AdaptivePolicyIntegrationTest, KAutoExecutesThroughDriver) {
   auto config = test::small_testbed_config();
   config.policy_enabled = true;

@@ -61,7 +61,7 @@ TEST(TraceInvariants, SingleCommandPerMethodPassesStrictCheck) {
   for (const TransferMethod method :
        {TransferMethod::kPrp, TransferMethod::kSgl,
         TransferMethod::kByteExpress, TransferMethod::kByteExpressOoo,
-        TransferMethod::kBandSlim, TransferMethod::kHybrid}) {
+        TransferMethod::kBandSlim, TransferMethod::kAuto}) {
     auto config = test::small_testbed_config();
     Testbed bed(config);
     for (const std::uint32_t size : {1u, 64u, 130u, 2048u}) {

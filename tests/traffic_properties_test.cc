@@ -80,7 +80,7 @@ std::vector<MethodSize> law_cases() {
   for (const TransferMethod method :
        {TransferMethod::kPrp, TransferMethod::kSgl,
         TransferMethod::kByteExpress, TransferMethod::kByteExpressOoo,
-        TransferMethod::kBandSlim, TransferMethod::kHybrid}) {
+        TransferMethod::kBandSlim, TransferMethod::kAuto}) {
     for (const std::uint32_t size : {1u, 24u, 64u, 100u, 256u, 4096u}) {
       cases.push_back({method, size});
     }
@@ -166,17 +166,19 @@ TEST(SglLaw, WireBytesAffineInPayload) {
   EXPECT_EQ(w128 - w64, 64u);
 }
 
+// kAuto with no policy attached is §4.2's static hybrid.
 TEST(HybridLaw, MatchesConstituentMethodsExactly) {
   auto config = test::small_testbed_config();
   config.driver.hybrid_threshold_bytes = 256;
   Testbed testbed(config);
+  ASSERT_EQ(testbed.method_policy(), nullptr);
   for (const std::uint32_t small : {32u, 256u}) {
-    EXPECT_EQ(probe_write(testbed, TransferMethod::kHybrid, small).wire,
+    EXPECT_EQ(probe_write(testbed, TransferMethod::kAuto, small).wire,
               probe_write(testbed, TransferMethod::kByteExpress, small).wire)
         << small;
   }
   for (const std::uint32_t large : {257u, 4096u}) {
-    EXPECT_EQ(probe_write(testbed, TransferMethod::kHybrid, large).wire,
+    EXPECT_EQ(probe_write(testbed, TransferMethod::kAuto, large).wire,
               probe_write(testbed, TransferMethod::kPrp, large).wire)
         << large;
   }

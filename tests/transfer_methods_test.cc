@@ -55,7 +55,7 @@ std::vector<MethodSize> integrity_cases() {
   for (const TransferMethod method :
        {TransferMethod::kPrp, TransferMethod::kSgl,
         TransferMethod::kByteExpress, TransferMethod::kByteExpressOoo,
-        TransferMethod::kBandSlim, TransferMethod::kHybrid}) {
+        TransferMethod::kBandSlim, TransferMethod::kAuto}) {
     for (const std::uint32_t size :
          {1u, 17u, 24u, 25u, 32u, 48u, 63u, 64u, 65u, 100u, 128u, 256u,
           1000u, 4096u}) {
@@ -359,17 +359,18 @@ TEST(BandSlimTest, TrafficBeatsByteExpressOnlyBelow32Bytes) {
   }
 }
 
-// ---- hybrid threshold switching (§4.2) ----
+// ---- hybrid threshold switching (§4.2): kAuto with no policy attached ----
 
 TEST(HybridTest, SwitchesAtThreshold) {
   auto config = test::small_testbed_config();
   config.driver.hybrid_threshold_bytes = 256;
   Testbed testbed(config);
+  ASSERT_EQ(testbed.method_policy(), nullptr);
 
   ByteVec small(256);
   fill_pattern(small, 1);
   testbed.reset_counters();
-  ASSERT_TRUE(testbed.raw_write(small, TransferMethod::kHybrid).is_ok());
+  ASSERT_TRUE(testbed.raw_write(small, TransferMethod::kAuto).is_ok());
   EXPECT_EQ(testbed.traffic()
                 .cell(Direction::kDownstream, TrafficClass::kDataPrp)
                 .data_bytes,
@@ -378,7 +379,7 @@ TEST(HybridTest, SwitchesAtThreshold) {
   ByteVec large(257);
   fill_pattern(large, 2);
   testbed.reset_counters();
-  ASSERT_TRUE(testbed.raw_write(large, TransferMethod::kHybrid).is_ok());
+  ASSERT_TRUE(testbed.raw_write(large, TransferMethod::kAuto).is_ok());
   EXPECT_EQ(testbed.traffic()
                 .cell(Direction::kDownstream, TrafficClass::kDataPrp)
                 .data_bytes,

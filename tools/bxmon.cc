@@ -79,8 +79,7 @@ bool parse_method(std::string_view name, driver::TransferMethod& out) {
   static constexpr TransferMethod kAll[] = {
       TransferMethod::kPrp,           TransferMethod::kSgl,
       TransferMethod::kByteExpress,   TransferMethod::kByteExpressOoo,
-      TransferMethod::kBandSlim,      TransferMethod::kHybrid,
-      TransferMethod::kAuto,
+      TransferMethod::kBandSlim,      TransferMethod::kAuto,
   };
   for (const TransferMethod method : kAll) {
     if (name == driver::transfer_method_name(method)) {
