@@ -8,11 +8,42 @@
 // under each method — the cost the paper's OOO future-work design would
 // relieve.
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "bench_common.h"
 
 using namespace bx;         // NOLINT(google-build-using-namespace)
 using namespace bx::bench;  // NOLINT(google-build-using-namespace)
+
+namespace {
+
+/// One measured run: `rounds` 64 B victim writes (plus any aggressor
+/// traffic) from a counter reset on.
+struct Run {
+  core::RunStats stats;
+  Nanoseconds start = 0;
+
+  Run(core::Testbed& testbed, std::string label, std::uint64_t rounds) {
+    testbed.reset_counters();
+    stats.label = std::move(label);
+    stats.ops = rounds;
+    stats.payload_bytes = rounds * 64;
+    start = testbed.clock().now();
+  }
+
+  /// Records the BENCH row: link traffic of both queues, elapsed sim
+  /// time, and the victim's latency alone.
+  void finish(core::Testbed& testbed) {
+    const pcie::TrafficCell total = testbed.traffic().total();
+    stats.wire_bytes = total.wire_bytes;
+    stats.data_bytes = total.data_bytes;
+    stats.total_time_ns = testbed.clock().now() - start;
+    report_row(testbed, stats);
+  }
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   BenchEnv env = BenchEnv::from_args(argc, argv);
@@ -40,13 +71,17 @@ int main(int argc, char** argv) {
     core::Testbed testbed(config);
     ByteVec small(64);
     fill_pattern(small, 1);
-    LatencyHistogram latency;
+    Run run(testbed, "solo", rounds);
+    run.stats.method = driver::transfer_method_name(
+        driver::TransferMethod::kByteExpress);
+    LatencyHistogram& latency = run.stats.latency;
     for (std::uint64_t i = 0; i < rounds; ++i) {
       auto completion =
           testbed.raw_write(small, driver::TransferMethod::kByteExpress, 2);
       BX_ASSERT(completion.is_ok() && completion->ok());
       latency.record(completion->latency_ns);
     }
+    run.finish(testbed);
     solo_mean = latency.mean();
     std::printf("%-18s %-16.0f %-16llu (baseline)\n", "(none)",
                 latency.mean(),
@@ -64,7 +99,10 @@ int main(int argc, char** argv) {
     ByteVec small(64);
     fill_pattern(small, 1);
 
-    LatencyHistogram victim_latency;
+    const std::string name(driver::transfer_method_name(method));
+    Run run(testbed, "vs_" + name, rounds);
+    run.stats.payload_bytes += rounds * aggressor_size;
+    LatencyHistogram& victim_latency = run.stats.latency;
     for (std::uint64_t i = 0; i < rounds; ++i) {
       // Submit the aggressor asynchronously, then the victim: the victim
       // arrives while the aggressor's transaction is being fetched.
@@ -88,8 +126,8 @@ int main(int argc, char** argv) {
       auto big_done = testbed.driver().wait(*big_handle);
       BX_ASSERT(big_done.is_ok() && big_done->ok());
     }
-    std::printf("%-18s %-16.0f %-16llu +%.0f%%\n",
-                std::string(driver::transfer_method_name(method)).c_str(),
+    run.finish(testbed);
+    std::printf("%-18s %-16.0f %-16llu +%.0f%%\n", name.c_str(),
                 victim_latency.mean(),
                 static_cast<unsigned long long>(
                     victim_latency.percentile(99)),

@@ -61,6 +61,7 @@ void Controller::set_admin_queue(std::uint64_t sq_addr,
                                  std::uint32_t cq_depth) {
   sqs_[0] = SqState{true, sq_addr, sq_depth, /*cqid=*/0, /*head=*/0};
   cqs_[0] = CqState{true, cq_addr, cq_depth, /*tail=*/0, /*phase=*/true};
+  sq_limit_ = std::max<std::uint16_t>(sq_limit_, 1);
 }
 
 std::uint32_t Controller::available(std::uint16_t qid) const noexcept {
@@ -88,63 +89,58 @@ nvme::SqSlot Controller::fetch_slot(std::uint16_t qid, bool chunk) {
 void Controller::set_queue_arbitration(std::uint16_t qid,
                                        std::uint32_t weight, bool urgent) {
   BX_ASSERT_MSG(qid < arb_.size(), "bad qid");
-  BX_ASSERT_MSG(weight >= 1, "WRR weight must be >= 1");
+  BX_ASSERT_MSG(weight >= 1, "arbitration weight must be >= 1");
+  if (urgent != arb_[qid].urgent) urgent ? ++urgent_queues_ : --urgent_queues_;
   arb_[qid].weight = weight;
   arb_[qid].urgent = urgent;
 }
 
-void Controller::serve(std::uint16_t qid) {
-  process_one(qid);
-  ++grants_[qid];
-  inline_backlog_.set(static_cast<std::int64_t>(
-      streams_.size() + deferred_.size() + reassembly_.in_flight()));
-}
-
-int Controller::pick_wrr() {
-  // The admin queue is latency-critical control plane (Abort during
-  // fault recovery, queue management) and its traffic is sparse — it
-  // bypasses arbitration entirely.
-  if (available(0) > 0) return 0;
-
-  const std::uint16_t n = config_.max_queues;
-  bool any_urgent = false;
-  bool any_normal = false;
-  for (std::uint16_t qid = 1; qid < n; ++qid) {
-    if (available(qid) == 0) continue;
-    (arb_[qid].urgent ? any_urgent : any_normal) = true;
-  }
-  if (!any_urgent && !any_normal) return -1;
-
-  // Urgent class preempts normal, but only urgent_burst_limit times in a
-  // row while a normal queue is actually waiting — then one normal grant
-  // is forced (the starvation bound tenant_isolation_test asserts).
-  bool pick_urgent = any_urgent;
-  if (any_urgent && any_normal) {
-    if (urgent_run_ >= config_.urgent_burst_limit) {
-      pick_urgent = false;
-      urgent_run_ = 0;
-    } else {
-      ++urgent_run_;
+int Controller::pick() {
+  // Class choice, only while some queue is urgent. Urgent preempts
+  // normal, but only kUrgentBurstLimit times in a row while a normal
+  // queue is actually waiting — then one normal grant is forced (the
+  // starvation bound arbitration_test asserts).
+  bool urgent_class = false;
+  if (urgent_queues_ > 0) {
+    bool any_urgent = false;
+    bool any_normal = false;
+    for (std::uint16_t qid = 0; qid < sq_limit_; ++qid) {
+      if (available(qid) == 0) continue;
+      (arb_[qid].urgent ? any_urgent : any_normal) = true;
     }
-  } else if (any_normal) {
-    urgent_run_ = 0;
+    if (any_urgent && any_normal) {
+      urgent_class = urgent_run_ < kUrgentBurstLimit;
+      urgent_run_ = urgent_class ? urgent_run_ + 1 : 0;
+    } else {
+      urgent_class = any_urgent;
+      if (any_normal) urgent_run_ = 0;
+    }
   }
 
-  // Smooth WRR within the chosen class: every candidate earns its weight,
-  // the highest credit wins (tie -> lowest qid), the winner pays the
-  // round's total. Long-run grant shares converge to the weight ratios
-  // with bounded deviation, with a deterministic schedule.
-  std::int64_t total = 0;
-  int winner = -1;
-  for (std::uint16_t qid = 1; qid < n; ++qid) {
-    if (available(qid) == 0 || arb_[qid].urgent != pick_urgent) continue;
-    arb_[qid].credit += arb_[qid].weight;
-    total += arb_[qid].weight;
-    if (winner < 0 || arb_[qid].credit > arb_[winner].credit) winner = qid;
+  // Within the class: the last winner keeps the grant while backlogged
+  // until its weight is spent (during a ByteExpress transaction
+  // process_one() itself stays queue-local), then the walk continues at
+  // the next queue of the class.
+  ClassCursor& cursor = cursors_[urgent_class ? 1 : 0];
+  if (cursor.next > 0) {
+    const auto last = static_cast<std::uint16_t>(cursor.next - 1);
+    if (cursor.run < arb_[last].weight &&
+        arb_[last].urgent == urgent_class && available(last) > 0) {
+      ++cursor.run;
+      return last;
+    }
   }
-  BX_ASSERT(winner >= 0);
-  arb_[winner].credit -= total;
-  return winner;
+  const std::uint16_t start = cursor.next < sq_limit_ ? cursor.next : 0;
+  for (std::uint16_t i = 0; i < sq_limit_; ++i) {
+    auto qid = static_cast<std::uint16_t>(start + i);
+    if (qid >= sq_limit_) qid -= sq_limit_;
+    if (arb_[qid].urgent == urgent_class && available(qid) > 0) {
+      cursor.next = static_cast<std::uint16_t>(qid + 1);
+      cursor.run = 1;
+      return qid;
+    }
+  }
+  return -1;
 }
 
 bool Controller::poll_once() {
@@ -153,25 +149,14 @@ bool Controller::poll_once() {
   // healthy fast path (and its golden traces) stays byte-identical.
   const bool recovered = injector_ != nullptr && service_fault_recovery();
 
-  if (config_.wrr_arbitration) {
-    const int pick = pick_wrr();
-    if (pick < 0) return recovered;
-    serve(static_cast<std::uint16_t>(pick));
-    return true;
-  }
-
-  const std::uint16_t n = config_.max_queues;
-  for (std::uint16_t i = 0; i < n; ++i) {
-    const auto qid = static_cast<std::uint16_t>((rr_cursor_ + i) % n);
-    if (available(qid) > 0) {
-      // Round-robin arbitration continues at the next queue. (During a
-      // ByteExpress transaction process_one() itself stays queue-local.)
-      rr_cursor_ = static_cast<std::uint16_t>((qid + 1) % n);
-      serve(qid);
-      return true;
-    }
-  }
-  return recovered;
+  const int pick = this->pick();
+  if (pick < 0) return recovered;
+  const auto qid = static_cast<std::uint16_t>(pick);
+  process_one(qid);
+  ++grants_[qid];
+  inline_backlog_.set(static_cast<std::int64_t>(
+      streams_.size() + deferred_.size() + reassembly_.in_flight()));
+  return true;
 }
 
 bool Controller::service_fault_recovery() {
@@ -1170,6 +1155,7 @@ void Controller::handle_admin(const SubmissionQueueEntry& sqe) {
         break;
       }
       sqs_[qid] = SqState{true, sqe.dptr1, depth, cqid, 0};
+      sq_limit_ = std::max<std::uint16_t>(sq_limit_, qid + 1);
       break;
     }
     case nvme::AdminOpcode::kDeleteIoSq: {

@@ -1,7 +1,8 @@
 // NVMe controller (device firmware) model — the get_nvme_cmd() side.
 //
 // Mirrors the Cosmos+ OpenSSD firmware structure the paper modified:
-//   * SQ tail doorbells are polled in round-robin,
+//   * SQ tail doorbells are polled round-robin by one cursor walk, which
+//     also serves tenant weights and the urgent class (pick()),
 //   * each command is fetched with a 64-byte DMA read,
 //   * the ByteExpress change sits in the fetch path: when a fetched command
 //     carries a non-zero inline length (reserved CDW2), the controller
@@ -74,17 +75,12 @@ class Controller {
     /// the command before the host aborts it. Active only under fault
     /// injection — without an injector chunks are never lost. 0 disables.
     Nanoseconds deferred_ttl_ns = 1'000'000;  // 1 ms
-    /// QoS arbitration (docs/TENANCY.md). Off keeps the legacy plain
-    /// round-robin poll loop byte-identical (golden traces). On, the
-    /// poll loop serves backlogged queues by smooth weighted round-robin
-    /// over the weights set via set_queue_arbitration(), with
-    /// urgent-class queues preempting normal ones up to the burst bound.
-    bool wrr_arbitration = false;
-    /// Consecutive urgent-class grants allowed while a normal-class
-    /// queue is backlogged before one normal grant is forced (the
-    /// urgent-preemption starvation bound).
-    std::uint32_t urgent_burst_limit = 8;
   };
+
+  /// Consecutive urgent-class grants allowed while a normal-class queue
+  /// is backlogged before one normal grant is forced (the
+  /// urgent-preemption starvation bound, docs/TENANCY.md).
+  static constexpr std::uint32_t kUrgentBurstLimit = 8;
 
   Controller(DmaMemory& memory, pcie::PcieLink& link, pcie::BarSpace& bar,
              CommandExecutor& executor, Config config);
@@ -160,18 +156,18 @@ class Controller {
     injector_ = injector;
   }
 
-  // ---- QoS arbitration (Config::wrr_arbitration) ----
+  // ---- QoS arbitration (docs/TENANCY.md) ----
 
-  /// Sets queue `qid`'s arbitration class: SWRR weight (>= 1) and the
-  /// urgent flag. Survives CreateIoSq re-creation (keyed by qid, not by
-  /// queue state). Call under the firmware mutex, like poll_once().
+  /// Sets queue `qid`'s arbitration class: weight (>= 1, the number of
+  /// consecutive grants the queue keeps while backlogged) and the urgent
+  /// flag. Survives CreateIoSq re-creation (keyed by qid, not by queue
+  /// state). Call under the firmware mutex, like poll_once().
   void set_queue_arbitration(std::uint16_t qid, std::uint32_t weight,
                              bool urgent = false);
 
   /// Scheduling grants the poll loop has given queue `qid` (one per
   /// poll_once() that picked it; a grant may process a whole inline
-  /// transaction). Counted in both arbitration modes — the WRR
-  /// conformance tests measure long-run shares from these.
+  /// transaction). The conformance tests measure shares from these.
   [[nodiscard]] std::uint64_t grants(std::uint16_t qid) const noexcept {
     return qid < grants_.size() ? grants_[qid] : 0;
   }
@@ -243,28 +239,25 @@ class Controller {
     std::uint16_t cid = 0;
   };
 
-  /// Per-queue arbitration state, indexed by qid. Deliberately separate
-  /// from SqState so a CreateIoSq re-creating a queue does not reset the
-  /// tenant's configured class or its SWRR credit.
+  /// Per-queue arbitration class, indexed by qid (the admin queue
+  /// included). Deliberately separate from SqState so a CreateIoSq
+  /// re-creating a queue does not reset the tenant's configured class.
   struct QueueArb {
-    std::uint32_t weight = 1;
+    std::uint32_t weight = 1;  // grant budget (1 = plain round-robin)
     bool urgent = false;
-    /// Smooth-WRR credit: each selection adds every backlogged
-    /// candidate's weight to its credit, picks the max (tie -> lowest
-    /// qid) and subtracts the candidates' weight sum from the winner —
-    /// exact long-run proportional shares, deterministically.
-    std::int64_t credit = 0;
+  };
+  /// One class's walk position: `next` is qid + 1 of its last grant
+  /// (0 = none yet), `run` the grants that queue has taken in a row.
+  struct ClassCursor {
+    std::uint16_t next = 0;
+    std::uint32_t run = 0;
   };
 
   [[nodiscard]] std::uint32_t available(std::uint16_t qid) const noexcept;
 
-  /// WRR-mode queue selection: admin first, then urgent-class candidates
-  /// up to the burst bound, SWRR within the chosen class. Returns -1
-  /// when no queue is backlogged.
-  [[nodiscard]] int pick_wrr();
-  /// Serves one grant on `qid`: process_one + grant accounting + backlog
-  /// gauge (the shared tail of both arbitration modes).
-  void serve(std::uint16_t qid);
+  /// The arbiter (docs/TENANCY.md): the qid the next grant goes to, or
+  /// -1 when no queue is backlogged.
+  [[nodiscard]] int pick();
 
   /// DMA-fetches the SQ entry at the queue's head and advances the head.
   /// `chunk` selects the cheaper chunk-fetch firmware cost.
@@ -361,9 +354,14 @@ class Controller {
 
   std::vector<SqState> sqs_;
   std::vector<CqState> cqs_;
-  std::uint16_t rr_cursor_ = 0;
+  /// One past the highest SQ ever created: the arbiter walks no further.
+  std::uint16_t sq_limit_ = 0;
   std::vector<QueueArb> arb_;
   std::vector<std::uint64_t> grants_;
+  /// Cursor of the normal ([0]) and urgent ([1]) class.
+  ClassCursor cursors_[2];
+  /// Queues currently set urgent; the class pre-scan runs only while > 0.
+  std::uint16_t urgent_queues_ = 0;
   /// Consecutive urgent grants taken while a normal candidate waited.
   std::uint32_t urgent_run_ = 0;
   std::uint64_t namespace_blocks_ = 0;

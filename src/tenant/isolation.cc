@@ -26,9 +26,10 @@ struct PlannedOp {
 };
 
 core::TestbedConfig make_config(const IsolationOptions& options) {
-  // Two hardware queues (one per tenant) under WRR arbitration, with the
-  // fault-sweep recovery clocks: device-side TTLs expire well before the
-  // driver deadline so every storm fault resolves within the run.
+  // Two hardware queues (one per tenant), weighted in the controller
+  // arbiter, with the fault-sweep recovery clocks: device-side TTLs expire
+  // well before the driver deadline so every storm fault resolves within
+  // the run.
   core::TestbedConfig config;
   config.driver.io_queue_count = 2;
   config.driver.io_queue_depth = options.queue_depth;
@@ -41,8 +42,6 @@ core::TestbedConfig make_config(const IsolationOptions& options) {
   config.driver.degrade_reprobe_ns = 1'000'000;
   config.controller.deferred_ttl_ns = 500'000;
   config.controller.reassembly.ttl_ns = 500'000;
-  config.controller.wrr_arbitration = true;
-  config.controller.urgent_burst_limit = options.urgent_burst_limit;
   config.ssd.geometry.channels = 2;
   config.ssd.geometry.ways = 2;
   config.ssd.geometry.blocks_per_die = 64;

@@ -4,9 +4,8 @@
 //   * builds the AdmissionController from the tenant configs and
 //     attaches it as the driver's SubmissionGate,
 //   * maps each tenant onto its hardware queue and programs the
-//     controller's WRR arbiter (weight + urgent class) for that queue —
-//     the testbed must have been built with
-//     controller.wrr_arbitration = true for the weights to matter,
+//     controller's arbiter (weight as grant budget + urgent class) for
+//     that queue,
 //   * registers every tenant's service counters with obs::Telemetry
 //     (per-window TenantWindow sampling) and publishes them in the
 //     MetricsRegistry as tenant.<name>.{admitted,rejected,payload_bytes,
@@ -18,7 +17,7 @@
 // After construction the per-tenant data path is: tenant thread ->
 // VirtualQueue::submit (tags tenant id) -> driver submit path ->
 // AdmissionController::admit (budgets) -> hardware queue -> controller
-// WRR arbiter (weights) -> completion -> record() (latency histogram +
+// arbiter (weights) -> completion -> record() (latency histogram +
 // fault accounting). See docs/TENANCY.md for the full picture.
 //
 // Lifetime: the scheduler must outlive every in-flight tenant command

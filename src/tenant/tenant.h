@@ -3,8 +3,8 @@
 //
 // A tenant is a logical client of the testbed that owns a virtual SQ/CQ
 // pair (tenant/vqueue.h) mapped onto one hardware queue, an arbitration
-// class (weight + urgent flag, enforced by the controller's WRR poll
-// loop), and an admission budget enforced host-side before any ring slot
+// class (weight + urgent flag, enforced by the controller's arbiter),
+// and an admission budget enforced host-side before any ring slot
 // is claimed. AdmissionController is the production implementation of
 // driver::SubmissionGate: one instance guards the whole driver and holds
 // the per-tenant budgets —
@@ -50,11 +50,12 @@ struct TenantConfig {
   std::string name;
   /// Hardware queue this tenant's virtual queue maps onto.
   std::uint16_t hw_qid = 1;
-  /// WRR weight of the hardware queue in the controller's arbiter
-  /// (Controller::set_queue_arbitration). Must be >= 1.
+  /// Weight of the hardware queue in the controller's arbiter
+  /// (Controller::set_queue_arbitration): consecutive grants the queue
+  /// keeps while backlogged. Must be >= 1.
   std::uint32_t weight = 1;
-  /// Urgent arbitration class: preempts normal-class queues up to the
-  /// controller's urgent_burst_limit.
+  /// Urgent arbitration class: preempts normal-class queues up to
+  /// Controller::kUrgentBurstLimit grants in a row.
   bool urgent = false;
   /// Token-bucket byte rate in payload bytes per simulated second
   /// (0 = unlimited).

@@ -2,12 +2,13 @@
 // hand-rolled host (rings + doorbells written directly) drives the
 // firmware model through a scripted executor. Covers the admin command
 // matrix (queue lifecycle, identify CNS forms, features, log pages),
-// CQE field correctness, round-robin arbitration, and the fetch engine's
-// classification of every slot kind.
+// CQE field correctness, round-robin arbitration (admin queue included),
+// and the fetch engine's classification of every slot kind.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <deque>
+#include <vector>
 
 #include "controller/controller.h"
 #include "hostmem/dma_memory.h"
@@ -497,6 +498,34 @@ TEST(ArbitrationTest, RoundRobinAlternatesBetweenQueues) {
     const std::uint32_t b = host.executor_.calls[i + 1].sqe.cdw13 >> 8;
     EXPECT_NE(a, b) << "call " << i;
   }
+}
+
+TEST(ArbitrationTest, AdminQueueSharesTheRotation) {
+  // The admin queue is an ordinary member of the round-robin walk: with
+  // admin and I/O commands both pending, grants alternate 1,0,1,0,...
+  // (setup ended on an admin grant, so the walk resumes at qid 1).
+  MiniHost host;
+  host.create_io_queues(1);
+  for (int i = 0; i < 3; ++i) {
+    SubmissionQueueEntry get_features;
+    get_features.opcode =
+        static_cast<std::uint8_t>(nvme::AdminOpcode::kGetFeatures);
+    get_features.cdw10 = 0x0b;
+    host.push_admin(get_features);
+    host.push_io(raw_write_sqe(0), 1, true);
+  }
+  std::vector<int> picks;
+  for (int i = 0; i < 6; ++i) {
+    const std::uint64_t admin_before = host.controller_.grants(0);
+    const std::uint64_t io_before = host.controller_.grants(1);
+    ASSERT_TRUE(host.controller_.poll_once());
+    EXPECT_EQ(host.controller_.grants(0) - admin_before +
+                  host.controller_.grants(1) - io_before,
+              1u);
+    picks.push_back(host.controller_.grants(1) > io_before ? 1 : 0);
+  }
+  EXPECT_EQ(picks, (std::vector<int>{1, 0, 1, 0, 1, 0}));
+  EXPECT_FALSE(host.controller_.poll_once());
 }
 
 TEST(FetchCostTest, StatsHistogramAccumulates) {

@@ -251,11 +251,10 @@ TEST(LatencyAttributionReactor, PostedCommandsZeroResidualAndRingWait) {
 }
 
 // ---------------------------------------------------------------------------
-// Tenant path (virtual queues + admission gate + WRR arbitration).
+// Tenant path (virtual queues + admission gate + weighted arbitration).
 
 TEST(LatencyAttributionTenant, TenantWritesZeroResidualAndHistograms) {
   core::TestbedConfig config = test::small_testbed_config();
-  config.controller.wrr_arbitration = true;
   Testbed bed(config);
 
   tenant::SchedulerConfig sched_config;

@@ -141,7 +141,6 @@ TEST(AdmissionController, WouldAdmitPreviewsWithoutCharging) {
 
 TEST(TenantScheduler, GatePairsEveryAdmissionThroughTheDriver) {
   core::TestbedConfig config = test::small_testbed_config(2);
-  config.controller.wrr_arbitration = true;
   core::Testbed bed(config);
 
   SchedulerConfig sched_config;
@@ -249,7 +248,6 @@ void drain_backlogs(core::Testbed& bed,
 
 TEST(WrrArbitration, GrantSharesMatchWeightsWithinFivePercent) {
   core::TestbedConfig config = test::small_testbed_config(3, 256);
-  config.controller.wrr_arbitration = true;
   core::Testbed bed(config);
   bed.controller().set_queue_arbitration(1, 1);
   bed.controller().set_queue_arbitration(2, 2);
@@ -281,8 +279,6 @@ TEST(WrrArbitration, GrantSharesMatchWeightsWithinFivePercent) {
 
 TEST(WrrArbitration, UrgentClassPreemptsWithinBurstBound) {
   core::TestbedConfig config = test::small_testbed_config(3, 256);
-  config.controller.wrr_arbitration = true;
-  config.controller.urgent_burst_limit = 8;
   core::Testbed bed(config);
   bed.controller().set_queue_arbitration(1, 1, /*urgent=*/true);
   bed.controller().set_queue_arbitration(2, 1);
@@ -316,19 +312,6 @@ TEST(WrrArbitration, UrgentClassPreemptsWithinBurstBound) {
   EXPECT_NEAR(normal3_share, 0.75, 0.05);
   drain_backlogs(bed, handles);
   drain_backlogs(bed, normal_handles);
-}
-
-TEST(WrrArbitration, LegacyRoundRobinUntouchedWhenDisabled) {
-  // wrr_arbitration defaults to off; grants still count (for parity) but
-  // the poll loop is the legacy cursor walk and weights are ignored.
-  core::TestbedConfig config = test::small_testbed_config(2, 128);
-  core::Testbed bed(config);
-  bed.controller().set_queue_arbitration(1, 100);  // must have no effect
-  ByteVec payload(256, Byte{0x3c});
-  auto handles = stack_backlogs(bed, {1, 2}, 20, payload);
-  drain_backlogs(bed, handles);
-  EXPECT_EQ(bed.controller().grants(1), 20u);
-  EXPECT_EQ(bed.controller().grants(2), 20u);
 }
 
 // ---- Adversarial isolation sweep ----------------------------------------

@@ -32,8 +32,8 @@
 //     docs/FAULTS.md — ops go through the driver's retry path and the
 //     fault/recovery counter section is printed after the summary)
 //   bxmon tenants=2 tenant.weights=3,1 ops=2000   (multi-tenant mode:
-//     each tenant gets a virtual queue on its own hardware queue under
-//     WRR arbitration; prints the per-tenant admission/latency/grant
+//     each tenant gets a virtual queue on its own hardware queue, weighted
+//     in the controller arbiter; prints the per-tenant admission/latency/grant
 //     section, see docs/TENANCY.md)
 //   bxmon policy ops=4000 qd=8   (adaptive-selection mode: the testbed
 //     attaches an AdaptivePolicy, methods default to kAuto with a mixed
@@ -319,10 +319,10 @@ void print_policy_section(const obs::MetricsRegistry& metrics,
   }
 }
 
-/// Multi-tenant mode (`tenants=N`): one tenant per hardware queue under
-/// WRR arbitration, a closed loop of ByteExpress writes round-robin over
-/// the tenants, then the per-tenant admission / latency / grant section
-/// plus the per-window TenantWindow deltas (docs/TENANCY.md).
+/// Multi-tenant mode (`tenants=N`): one tenant per hardware queue, each
+/// weighted in the controller arbiter, a closed loop of ByteExpress writes
+/// round-robin over the tenants, then the per-tenant admission / latency /
+/// grant section plus the per-window TenantWindow deltas (docs/TENANCY.md).
 int run_tenants(const Config& config) {
   const auto tenant_count =
       static_cast<std::uint16_t>(config.get_int("tenants", 2));
@@ -343,7 +343,6 @@ int run_tenants(const Config& config) {
   testbed_config.driver.io_queue_depth =
       static_cast<std::uint32_t>(config.get_int("depth", 256));
   testbed_config.telemetry.window_ns = config.get_int("window", 10'000);
-  testbed_config.controller.wrr_arbitration = true;
   core::Testbed testbed(testbed_config);
 
   const std::vector<std::string> weight_list =
@@ -365,8 +364,8 @@ int run_tenants(const Config& config) {
   }
   tenant::TenantScheduler sched(testbed, sched_config);
 
-  std::printf("bxmon: %u tenant(s), %llu ops total, payload %u B, WRR "
-              "arbitration on, window %lld ns\n",
+  std::printf("bxmon: %u tenant(s), %llu ops total, payload %u B, "
+              "window %lld ns\n",
               tenant_count, static_cast<unsigned long long>(ops),
               payload_size,
               static_cast<long long>(testbed_config.telemetry.window_ns));
