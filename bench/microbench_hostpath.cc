@@ -73,8 +73,47 @@ void BM_KvPut(benchmark::State& state) {
   for (auto _ : state) {
     const bx::Status status =
         client.put(bx::workload::make_key(i++ % 4096), value);
+    if (!status.is_ok()) {
+      state.SkipWithError(status.to_string().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(status);
   }
+}
+
+// QD1 GETs of keys preloaded and flushed into several NAND runs: each GET
+// is one point-index probe and one NAND page read on the device side.
+void BM_KvGet(benchmark::State& state) {
+  constexpr std::uint64_t kKeys = 4096;
+  TestbedConfig config = bench_config();
+  config.ssd.kv.flush_threshold_bytes = 64 * 1024;
+  Testbed testbed(config);
+  auto client = testbed.make_kv_client(TransferMethod::kByteExpress);
+  ByteVec value(static_cast<std::size_t>(state.range(0)));
+  bx::fill_pattern(value, 3);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    const bx::Status status = client.put(bx::workload::make_key(k), value);
+    if (!status.is_ok()) {
+      state.SkipWithError(("preload: " + status.to_string()).c_str());
+      return;
+    }
+  }
+  const bx::Status flushed = testbed.device().kv_engine().flush();
+  if (!flushed.is_ok()) {
+    state.SkipWithError(("flush: " + flushed.to_string()).c_str());
+    return;
+  }
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    auto got = client.get(bx::workload::make_key(i++ % kKeys));
+    if (!got.is_ok()) {
+      state.SkipWithError(got.status().to_string().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(got);
+  }
+  state.counters["runs"] =
+      static_cast<double>(testbed.device().kv_engine().run_count());
 }
 
 }  // namespace
@@ -92,3 +131,4 @@ BENCHMARK_CAPTURE(BM_RawWriteTelemetry, byteexpress,
     ->Arg(64);
 BENCHMARK(BM_PrpChainBuild)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 BENCHMARK(BM_KvPut)->Arg(64)->Arg(1024);
+BENCHMARK(BM_KvGet)->Arg(64)->Arg(1024);

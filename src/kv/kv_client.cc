@@ -31,6 +31,12 @@ Status KvClient::put(std::string_view key, ConstByteSpan value) {
   BX_RETURN_IF_ERROR(completion.status());
   last_ = *completion;
   if (!completion->ok()) {
+    const auto status = completion->status;
+    if (status.type == nvme::StatusCodeType::kVendor &&
+        status.code ==
+            static_cast<std::uint8_t>(nvme::VendorStatus::kKvStoreFull)) {
+      return resource_exhausted("KV store full");
+    }
     return internal_error("KV store failed: device status");
   }
   return Status::ok();

@@ -2,14 +2,21 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace bx::kv {
 
 KvEngine::KvEngine(nand::Ftl& ftl, SimClock& clock, Config config)
-    : ftl_(ftl), clock_(clock), config_(config), next_lpn_(config.lpn_base) {
+    : ftl_(ftl),
+      clock_(clock),
+      config_(config),
+      page_(ftl.page_size()),
+      next_lpn_(config.lpn_base) {
   BX_ASSERT(config.lpn_count > 0);
+  BX_ASSERT(config.max_key_bytes <= nvme::KvKeyFields::kMaxKeyBytes);
   BX_ASSERT(config.lpn_base + config.lpn_count <= ftl.logical_pages());
   BX_ASSERT(config.max_value_bytes + 4u + config.max_key_bytes <=
             ftl.page_size());
@@ -39,21 +46,17 @@ StatusOr<ByteVec> KvEngine::get(std::string_view key) {
   clock_.advance(config_.cpu_get_ns);
   ++gets_;
 
-  if (auto hit = memtable_.get(key); hit.has_value()) {
+  if (const KvEntry* hit = memtable_.get(key)) {
     if (hit->tombstone) return not_found("key deleted");
     return hit->value;
   }
-  // Newest run first.
-  for (auto it = runs_.rbegin(); it != runs_.rend(); ++it) {
-    if (!it->covers(key)) continue;
-    auto found = sstable_get(ftl_, *it, key);
-    BX_RETURN_IF_ERROR(found.status());
-    if (found->has_value()) {
-      if ((*found)->tombstone) return not_found("key deleted");
-      return (*found)->value;
-    }
-  }
-  return not_found("key not found");
+  const auto location = index_.find(key);
+  if (!location.has_value()) return not_found("key not found");
+  // A tombstone still costs its NAND read, like any indexed record.
+  auto record = read_indexed(key, *location);
+  BX_RETURN_IF_ERROR(record.status());
+  if (record->tombstone) return not_found("key deleted");
+  return ByteVec(record->value.begin(), record->value.end());
 }
 
 StatusOr<bool> KvEngine::del(std::string_view key) {
@@ -69,16 +72,21 @@ StatusOr<bool> KvEngine::del(std::string_view key) {
 StatusOr<bool> KvEngine::exist(std::string_view key) {
   BX_RETURN_IF_ERROR(validate_key(key));
   clock_.advance(config_.cpu_exist_ns);
-  if (auto hit = memtable_.get(key); hit.has_value()) {
-    return !hit->tombstone;
+  if (const KvEntry* hit = memtable_.get(key)) return !hit->tombstone;
+  const auto location = index_.find(key);
+  if (!location.has_value()) return false;
+  auto record = read_indexed(key, *location);
+  BX_RETURN_IF_ERROR(record.status());
+  return !record->tombstone;
+}
+
+StatusOr<RecordView> KvEngine::read_indexed(
+    std::string_view key, const PointIndex::Location& location) {
+  auto record = read_record(ftl_, location.lpn, location.offset, key, page_);
+  if (record.is_ok() && record->tombstone != location.tombstone) {
+    return data_loss("index and record disagree on tombstone");
   }
-  for (auto it = runs_.rbegin(); it != runs_.rend(); ++it) {
-    if (!it->covers(key)) continue;
-    auto found = sstable_get(ftl_, *it, key);
-    BX_RETURN_IF_ERROR(found.status());
-    if (found->has_value()) return !(*found)->tombstone;
-  }
-  return false;
+  return record;
 }
 
 StatusOr<std::vector<KvEntry>> KvEngine::scan(std::string_view start,
@@ -141,12 +149,14 @@ StatusOr<std::vector<KvEntry>> KvEngine::scan(std::string_view start,
     for (auto it = cursors.rbegin(); it != cursors.rend(); ++it) {
       if (!it->valid() || it->key() != best) continue;
       if (!chosen_set) {
-        auto found = sstable_get(ftl_, *it->run, best);
-        BX_RETURN_IF_ERROR(found.status());
-        if (!found->has_value()) {
-          return data_loss("index entry without record during scan");
-        }
-        chosen = std::move(**found);
+        const IndexEntry& at = it->run->index[it->pos];
+        auto record = read_record(ftl_, it->run->first_lpn + at.page,
+                                  at.offset, best, page_);
+        BX_RETURN_IF_ERROR(record.status());
+        chosen.key.assign(record->key);
+        chosen.value.assign(record->value.begin(), record->value.end());
+        chosen.seq = at.seq;
+        chosen.tombstone = record->tombstone;
         chosen_set = true;
       }
       ++it->pos;
@@ -205,39 +215,64 @@ Status KvEngine::maybe_flush() {
 StatusOr<std::vector<std::uint64_t>> KvEngine::allocate_lpns(
     std::uint32_t count) {
   if (count == 0) return std::vector<std::uint64_t>{};
-  // First-fit over freed ranges.
-  for (std::size_t i = 0; i < free_ranges_.size(); ++i) {
-    auto& [base, len] = free_ranges_[i];
-    if (len >= count) {
-      std::vector<std::uint64_t> out(count);
-      for (std::uint32_t j = 0; j < count; ++j) out[j] = base + j;
-      base += count;
-      len -= count;
-      if (len == 0) {
-        free_ranges_.erase(free_ranges_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-      }
-      return out;
-    }
-  }
-  if (next_lpn_ + count > config_.lpn_base + config_.lpn_count) {
+  std::uint64_t first = next_lpn_;
+  // First-fit over freed ranges, then the bump allocator.
+  const auto fit = std::find_if(
+      free_ranges_.begin(), free_ranges_.end(),
+      [count](const auto& range) { return range.second >= count; });
+  if (fit != free_ranges_.end()) {
+    first = fit->first;
+    fit->first += count;
+    fit->second -= count;
+    if (fit->second == 0) free_ranges_.erase(fit);
+  } else if (next_lpn_ + count > config_.lpn_base + config_.lpn_count) {
     return resource_exhausted("KV LPN range exhausted");
+  } else {
+    next_lpn_ += count;
   }
   std::vector<std::uint64_t> out(count);
-  for (std::uint32_t j = 0; j < count; ++j) out[j] = next_lpn_ + j;
-  next_lpn_ += count;
+  for (std::uint32_t j = 0; j < count; ++j) out[j] = first + j;
   return out;
 }
 
-void KvEngine::release_run(const SstableMeta& meta) {
-  for (std::uint32_t i = 0; i < meta.page_count; ++i) {
-    const Status trimmed = ftl_.trim(meta.first_lpn + i);
+void KvEngine::release_lpns(std::uint64_t first, std::uint64_t count) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const Status trimmed = ftl_.trim(first + i);
     if (!trimmed.is_ok()) {
       BX_LOG_WARN << "trim failed: " << trimmed.to_string();
     }
   }
-  if (meta.page_count > 0) {
-    free_ranges_.emplace_back(meta.first_lpn, meta.page_count);
+  if (count == 0) return;
+  // Insert in order and coalesce with both neighbours, so a long enough
+  // hole is always found whole.
+  auto at = std::lower_bound(
+      free_ranges_.begin(), free_ranges_.end(), first,
+      [](const auto& range, std::uint64_t lpn) { return range.first < lpn; });
+  at = free_ranges_.insert(at, {first, count});
+  if (const auto next = std::next(at);
+      next != free_ranges_.end() && at->first + at->second == next->first) {
+    at->second += next->second;
+    free_ranges_.erase(next);
+  }
+  if (at != free_ranges_.begin()) {
+    const auto prev = std::prev(at);
+    if (prev->first + prev->second == at->first) {
+      prev->second += at->second;
+      at = std::prev(free_ranges_.erase(at));
+    }
+  }
+  // The top range goes back to the bump allocator.
+  if (at->first + at->second == next_lpn_) {
+    next_lpn_ = at->first;
+    free_ranges_.erase(at);
+  }
+}
+
+void KvEngine::index_run(const SstableMeta& run) {
+  index_.reserve(index_.size() + run.index.size());
+  for (const IndexEntry& entry : run.index) {
+    index_.upsert(entry.key, {run.first_lpn + entry.page, entry.offset,
+                              entry.tombstone});
   }
 }
 
@@ -258,8 +293,12 @@ Status KvEngine::flush() {
   // visible command (the memtable remains authoritative until swapped).
   auto meta = builder.finish(ftl_, *lpns, next_run_id_++,
                              nand::NandFlash::Blocking::kBackground);
-  BX_RETURN_IF_ERROR(meta.status());
+  if (!meta.is_ok()) {
+    release_lpns(lpns->front(), lpns->size());
+    return meta.status();
+  }
   runs_.push_back(std::move(meta).value());
+  index_run(runs_.back());
   memtable_.clear();
   ++flushes_;
 
@@ -269,7 +308,6 @@ Status KvEngine::flush() {
 
 Status KvEngine::compact() {
   if (runs_.size() < 2) return Status::ok();
-  ++compactions_;
 
   // Full merge of all runs, newest version wins, tombstones dropped (there
   // is nothing older for them to shadow after a full merge).
@@ -284,25 +322,35 @@ Status KvEngine::compact() {
   clock_.advance(config_.cpu_compact_per_entry_ns * scanned);
 
   SstableBuilder builder(ftl_.page_size());
-  std::size_t kept = 0;
   for (auto& [key, entry] : merged) {
-    if (entry.tombstone) continue;
-    builder.add(entry);
-    ++kept;
+    if (!entry.tombstone) builder.add(entry);
   }
 
-  std::deque<SstableMeta> old_runs;
-  old_runs.swap(runs_);
-
-  if (kept > 0) {
+  // The output is written before any input run is retired, so a failure
+  // here leaves every acknowledged key where the index says it is.
+  std::optional<SstableMeta> output;
+  if (builder.entry_count() > 0) {
     auto lpns = allocate_lpns(builder.pages_needed());
-    BX_RETURN_IF_ERROR(lpns.status());
+    BX_RETURN_IF_ERROR(lpns.status());  // kResourceExhausted
     auto meta = builder.finish(ftl_, *lpns, next_run_id_++,
                                nand::NandFlash::Blocking::kBackground);
-    BX_RETURN_IF_ERROR(meta.status());
-    runs_.push_back(std::move(meta).value());
+    if (!meta.is_ok()) {
+      release_lpns(lpns->front(), lpns->size());
+      return meta.status();
+    }
+    output = std::move(meta).value();
   }
-  for (const SstableMeta& run : old_runs) release_run(run);
+
+  const std::deque<SstableMeta> retired = std::exchange(runs_, {});
+  index_.clear();
+  if (output.has_value()) {
+    runs_.push_back(std::move(*output));
+    index_run(runs_.front());
+  }
+  for (const SstableMeta& run : retired) {
+    release_lpns(run.first_lpn, run.page_count);
+  }
+  ++compactions_;
   return Status::ok();
 }
 

@@ -3,11 +3,17 @@
 // the iterator-extended OpenSSD KVSSD it cites).
 //
 // PUTs land in a DRAM memtable (durable on the cap-backed OpenSSD) and
-// flush to NAND as sorted runs in the background; GETs check the memtable,
-// then runs newest-to-oldest via their in-DRAM indexes (one NAND read per
-// hit). Runs are merge-compacted when they pile up. Device-CPU costs are
-// charged to the shared SimClock so Figure 6's NAND-on throughput reflects
-// both transfer and firmware time.
+// flush to NAND as sorted runs in the background. One engine-wide point
+// index (kv/point_index.h) maps every flushed key to its newest record, so
+// a GET or EXIST checks the memtable, then makes one index probe and at
+// most one NAND read, parsed in place in an engine-owned page buffer. The
+// index changes in two places only: a flush inserts the new run's entries
+// (newest wins) and a compaction rebuilds it from the merged run. Runs
+// keep their own sorted indexes for scans and compaction, and are
+// merge-compacted when they pile up; a compaction writes its output before
+// it retires any input, so running out of space leaves the store as it
+// was. Device-CPU costs are charged to the shared SimClock so Figure 6's
+// NAND-on throughput reflects both transfer and firmware time.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +26,7 @@
 #include "common/sim_clock.h"
 #include "common/status.h"
 #include "kv/memtable.h"
+#include "kv/point_index.h"
 #include "kv/sstable.h"
 #include "nand/ftl.h"
 
@@ -99,10 +106,18 @@ class KvEngine {
  private:
   Status validate_key(std::string_view key) const;
   Status maybe_flush();
+  /// Merges every run into one. On failure (kResourceExhausted when the
+  /// output does not fit) the runs and the point index are unchanged.
   Status compact();
+  /// Points index_ at every record of `run`, the newest run.
+  void index_run(const SstableMeta& run);
+  /// Reads the record that index_ says holds `key` into page_.
+  StatusOr<RecordView> read_indexed(std::string_view key,
+                                    const PointIndex::Location& location);
   /// Allocates `count` contiguous LPNs from the engine's range.
   StatusOr<std::vector<std::uint64_t>> allocate_lpns(std::uint32_t count);
-  void release_run(const SstableMeta& meta);
+  /// Trims `count` LPNs from `first` and returns them to the allocator.
+  void release_lpns(std::uint64_t first, std::uint64_t count);
 
   nand::Ftl& ftl_;
   SimClock& clock_;
@@ -115,12 +130,15 @@ class KvEngine {
 
   MemTable memtable_;
   std::deque<SstableMeta> runs_;  // oldest first
+  PointIndex index_;              // newest flushed record of each key
+  ByteVec page_;                  // NAND page buffer for point reads
   std::unordered_map<std::uint32_t, IteratorState> iterators_;
   std::uint32_t next_iterator_id_ = 1;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_run_id_ = 1;
   std::uint64_t next_lpn_;        // bump allocator within the range
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> free_ranges_;
+  // Freed (first, count) ranges below next_lpn_: sorted, never adjacent.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> free_ranges_;
 
   std::uint64_t puts_ = 0;
   std::uint64_t gets_ = 0;

@@ -69,12 +69,12 @@ void MemTable::del(std::string_view key, std::uint64_t seq) {
   node->entry.tombstone = true;
 }
 
-std::optional<KvEntry> MemTable::get(std::string_view key) const {
+const KvEntry* MemTable::get(std::string_view key) const {
   Node* preds[kMaxHeight];
   find_predecessors(key, preds);
   const Node* node = preds[0]->next[0];
-  if (node != nullptr && node->entry.key == key) return node->entry;
-  return std::nullopt;
+  if (node != nullptr && node->entry.key == key) return &node->entry;
+  return nullptr;
 }
 
 void MemTable::Iterator::next() noexcept {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,8 +34,9 @@ class MemTable {
   /// Records a deletion (tombstone) for `key`.
   void del(std::string_view key, std::uint64_t seq);
 
-  /// Latest state of `key`, including tombstones (callers must check).
-  [[nodiscard]] std::optional<KvEntry> get(std::string_view key) const;
+  /// Latest state of `key`, including tombstones (callers must check);
+  /// nullptr if absent. Valid until the next put, del or clear.
+  [[nodiscard]] const KvEntry* get(std::string_view key) const;
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] std::size_t approximate_bytes() const noexcept {

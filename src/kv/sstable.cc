@@ -1,6 +1,5 @@
 #include "kv/sstable.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace bx::kv {
@@ -40,8 +39,10 @@ void SstableBuilder::add(const KvEntry& entry) {
   std::memcpy(page.data() + cursor_ + 2, &value_len, sizeof(value_len));
   std::memcpy(page.data() + cursor_ + kRecordHeader, entry.key.data(),
               entry.key.size());
-  std::memcpy(page.data() + cursor_ + kRecordHeader + entry.key.size(),
-              entry.value.data(), entry.value.size());
+  if (!entry.value.empty()) {  // a tombstone's value has no storage
+    std::memcpy(page.data() + cursor_ + kRecordHeader + entry.key.size(),
+                entry.value.data(), entry.value.size());
+  }
 
   IndexEntry index;
   index.key = entry.key;
@@ -77,11 +78,8 @@ StatusOr<SstableMeta> SstableBuilder::finish(
   return meta;
 }
 
-namespace {
-
-/// Parses the record at `offset`; returns nullopt past the terminator.
-std::optional<KvEntry> parse_record(ConstByteSpan page,
-                                    std::uint32_t offset) {
+std::optional<RecordView> parse_record(ConstByteSpan page,
+                                       std::uint32_t offset) noexcept {
   if (offset + kRecordHeader > page.size()) return std::nullopt;
   const std::uint8_t key_len = page[offset];
   if (key_len == 0) return std::nullopt;
@@ -90,38 +88,24 @@ std::optional<KvEntry> parse_record(ConstByteSpan page,
   if (offset + kRecordHeader + key_len + value_len > page.size()) {
     return std::nullopt;
   }
-  KvEntry entry;
-  entry.tombstone = page[offset + 1] != 0;
-  entry.key.assign(
+  RecordView record;
+  record.tombstone = page[offset + 1] != 0;
+  record.key = {
       reinterpret_cast<const char*>(page.data() + offset + kRecordHeader),
-      key_len);
-  entry.value.assign(
-      page.begin() + offset + kRecordHeader + key_len,
-      page.begin() + offset + kRecordHeader + key_len + value_len);
-  return entry;
+      key_len};
+  record.value = page.subspan(offset + kRecordHeader + key_len, value_len);
+  return record;
 }
 
-}  // namespace
-
-StatusOr<std::optional<KvEntry>> sstable_get(nand::Ftl& ftl,
-                                             const SstableMeta& meta,
-                                             std::string_view key) {
-  const auto it = std::lower_bound(
-      meta.index.begin(), meta.index.end(), key,
-      [](const IndexEntry& entry, std::string_view k) {
-        return entry.key < k;
-      });
-  if (it == meta.index.end() || it->key != key) {
-    return std::optional<KvEntry>{};
-  }
-  ByteVec page(ftl.page_size());
-  BX_RETURN_IF_ERROR(ftl.read(meta.first_lpn + it->page, page));
-  auto entry = parse_record(page, it->offset);
-  if (!entry.has_value() || entry->key != key) {
+StatusOr<RecordView> read_record(nand::Ftl& ftl, std::uint64_t lpn,
+                                 std::uint32_t offset, std::string_view key,
+                                 ByteSpan page) {
+  BX_RETURN_IF_ERROR(ftl.read(lpn, page));
+  const auto record = parse_record(page, offset);
+  if (!record.has_value() || record->key != key) {
     return data_loss("index points at a corrupt record");
   }
-  entry->seq = it->seq;
-  return std::optional<KvEntry>{std::move(*entry)};
+  return *record;
 }
 
 StatusOr<std::vector<KvEntry>> sstable_read_all(nand::Ftl& ftl,
@@ -135,10 +119,13 @@ StatusOr<std::vector<KvEntry>> sstable_read_all(nand::Ftl& ftl,
       BX_RETURN_IF_ERROR(ftl.read(meta.first_lpn + index.page, page));
       loaded_page = index.page;
     }
-    auto entry = parse_record(page, index.offset);
-    if (!entry.has_value()) return data_loss("corrupt record during scan");
-    entry->seq = index.seq;
-    out.push_back(std::move(*entry));
+    const auto record = parse_record(page, index.offset);
+    if (!record.has_value()) return data_loss("corrupt record during scan");
+    KvEntry& entry = out.emplace_back();
+    entry.key.assign(record->key);
+    entry.value.assign(record->value.begin(), record->value.end());
+    entry.seq = index.seq;
+    entry.tombstone = record->tombstone;
   }
   return out;
 }

@@ -4,14 +4,17 @@
 //   [u8 key_len][u8 flags][u16 value_len][key bytes][value bytes]
 // flags bit0 = tombstone. A key_len of 0 terminates a page early.
 //
-// Like PinK, the index is kept wholly in device DRAM (one entry per
-// record: key, page, offset), so a GET is one index lookup + one NAND page
-// read.
+// Like PinK, the indexes are kept wholly in device DRAM. Each run keeps a
+// sorted index (one entry per record: key, page, offset) for ordered scans
+// and compaction; point lookups go through the engine-wide PointIndex
+// (kv/point_index.h) instead, so a GET is one index probe + one NAND page
+// read, parsed in place by read_record().
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -34,11 +37,14 @@ struct SstableMeta {
   std::uint64_t first_lpn = 0;
   std::uint32_t page_count = 0;
   std::vector<IndexEntry> index;  // sorted by key
+};
 
-  [[nodiscard]] bool covers(std::string_view key) const noexcept {
-    return !index.empty() && key >= index.front().key &&
-           key <= index.back().key;
-  }
+/// One record parsed in place: `key` and `value` view the page it was
+/// parsed from.
+struct RecordView {
+  std::string_view key;
+  ConstByteSpan value;
+  bool tombstone = false;
 };
 
 /// Record-level size of one entry on a page.
@@ -75,11 +81,16 @@ class SstableBuilder {
   std::string last_key_;
 };
 
-/// Point lookup in one run: index binary search + one page read.
-/// Returns nullopt if the run does not contain the key.
-StatusOr<std::optional<KvEntry>> sstable_get(nand::Ftl& ftl,
-                                             const SstableMeta& meta,
-                                             std::string_view key);
+/// Parses the record at `offset` of `page`; nullopt past the page's
+/// terminator or if the record runs off the page.
+std::optional<RecordView> parse_record(ConstByteSpan page,
+                                       std::uint32_t offset) noexcept;
+
+/// Reads page `lpn` into `page` (one NAND read) and parses the record at
+/// `offset`, which an index says holds `key`: kDataLoss if it does not.
+StatusOr<RecordView> read_record(nand::Ftl& ftl, std::uint64_t lpn,
+                                 std::uint32_t offset, std::string_view key,
+                                 ByteSpan page);
 
 /// Reads every entry of the run in key order (compaction input).
 StatusOr<std::vector<KvEntry>> sstable_read_all(nand::Ftl& ftl,

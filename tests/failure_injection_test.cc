@@ -258,7 +258,11 @@ TEST(ResourceTest, KvStoreFullReportsVendorStatus) {
     fill_pattern(value, i);
     last = client.put(workload::make_key(i), value);
   }
-  EXPECT_FALSE(last.is_ok());  // eventually the KV range exhausts
+  // Eventually the KV range exhausts, and the PUT says so by type.
+  EXPECT_EQ(last.code(), StatusCode::kResourceExhausted) << last.to_string();
+  EXPECT_EQ(
+      client.last_completion().status.encode(),
+      nvme::StatusField::vendor(nvme::VendorStatus::kKvStoreFull).encode());
 }
 
 TEST(CorruptChunkTest, OooCrcFailureDoesNotCompleteCommand) {

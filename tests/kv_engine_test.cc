@@ -1,9 +1,12 @@
 // KV engine: LSM semantics end to end on the device side — put/get/delete
 // through memtable, flush to NAND runs, multi-run shadowing, compaction,
-// scans, and capacity/validation errors.
+// scans, capacity/validation errors, space reclamation under churn, the
+// point index, and a differential check of it and its NAND cost.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <set>
 
 #include "common/rng.h"
 #include "kv/kv_engine.h"
@@ -329,6 +332,216 @@ TEST_F(KvEngineFixture, RandomizedAgainstStdMapAcrossFlushes) {
       EXPECT_TRUE(verify_pattern(*got, it->second)) << key;
     }
   }
+}
+
+// The point index on its own: keys of every length up to 16 bytes grow the
+// table through several rehashes, overwrites keep one slot per key, and
+// clear() forgets every key while the table stays usable.
+TEST(PointIndexTest, GrowsOverwritesAndClears) {
+  PointIndex index;
+  auto key_of = [](std::uint64_t i) {
+    std::string key = workload::make_key(i);
+    return key.substr(0, 1 + i % PointIndex::kMaxKeyBytes);  // 1..16 B
+  };
+  std::map<std::string, std::uint64_t> truth;
+  for (std::uint64_t i = 0; i < 5'000; ++i) {
+    index.upsert(key_of(i), {i, static_cast<std::uint16_t>(i), i % 7 == 0});
+    truth[key_of(i)] = i;
+  }
+  for (std::uint64_t i = 0; i < 5'000; i += 2) {  // overwrite half
+    index.upsert(key_of(i), {i + 100'000, 0, false});
+    truth[key_of(i)] = i + 100'000;
+  }
+  EXPECT_EQ(index.size(), truth.size());
+  for (const auto& [key, lpn] : truth) {
+    const auto found = index.find(key);
+    ASSERT_TRUE(found.has_value()) << key;
+    EXPECT_EQ(found->lpn, lpn) << key;
+  }
+  EXPECT_FALSE(index.find("absent-key").has_value());
+  EXPECT_FALSE(index.find("").has_value());
+
+  index.clear();
+  EXPECT_EQ(index.size(), 0u);
+  for (const auto& [key, lpn] : truth) EXPECT_FALSE(index.find(key));
+  index.upsert("k", {9, 4, true});
+  const auto found = index.find("k");
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->lpn, 9u);
+  EXPECT_EQ(found->offset, 4u);
+  EXPECT_TRUE(found->tombstone);
+}
+
+// A sentinel set written once, then a hot set overwritten with varying
+// value sizes on a small LPN range until compaction has run many times.
+// The live set is well under capacity, so every PUT must succeed and
+// every acknowledged key must read back its last value: a compaction may
+// not retire its inputs before its output is written, and freed ranges
+// must coalesce so the allocator does not fail while space remains.
+TEST_F(KvEngineFixture, CompactionUnderChurnKeepsAcknowledgedData) {
+  KvEngine::Config config;
+  config.lpn_base = 0;
+  config.lpn_count = 24;
+  config.flush_threshold_bytes = 4 * 1024;
+  config.max_runs = 2;
+  KvEngine engine(ftl_, clock_, config);
+
+  std::map<std::string, std::uint64_t> acked;  // key -> value seed
+  std::map<std::string, std::size_t> sizes;
+  Rng rng(7);
+  auto put = [&](const std::string& key) {
+    const std::uint64_t seed = rng.next();
+    const std::size_t size = 1 + rng.next_below(1000);
+    const Status status = engine.put(key, value(size, seed));
+    ASSERT_TRUE(status.is_ok())
+        << key << " after " << engine.compactions()
+        << " compactions: " << status.to_string();
+    acked[key] = seed;
+    sizes[key] = size;
+  };
+
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_NO_FATAL_FAILURE(put("sentinel" + std::to_string(i)));
+  }
+  for (int op = 0; op < 20'000 && engine.compactions() < 40; ++op) {
+    ASSERT_NO_FATAL_FAILURE(put(workload::make_key(rng.next_below(12))));
+  }
+  EXPECT_GE(engine.compactions(), 40u);
+
+  for (const auto& [key, seed] : acked) {
+    auto got = engine.get(key);
+    ASSERT_TRUE(got.is_ok()) << key << ": " << got.status().to_string();
+    EXPECT_EQ(got->size(), sizes[key]) << key;
+    EXPECT_TRUE(verify_pattern(*got, seed)) << key;
+  }
+}
+
+// A live set too large for the LPN range: PUTs eventually fail, typed as
+// kResourceExhausted, and the failure (in a flush or in the compaction
+// behind it) leaves every earlier acknowledged key readable.
+TEST_F(KvEngineFixture, ExhaustedSpaceFailsTypedAndKeepsData) {
+  KvEngine::Config config;
+  config.lpn_base = 0;
+  config.lpn_count = 12;
+  config.flush_threshold_bytes = 4 * 1024;
+  config.max_runs = 2;
+  KvEngine engine(ftl_, clock_, config);
+
+  std::map<std::string, std::uint64_t> acked;
+  Status failed = Status::ok();
+  for (std::uint64_t i = 0; i < 500 && failed.is_ok(); ++i) {
+    const std::string key = workload::make_key(i);
+    failed = engine.put(key, value(900, i));
+    if (failed.is_ok()) acked[key] = i;
+  }
+  ASSERT_FALSE(failed.is_ok());
+  EXPECT_EQ(failed.code(), StatusCode::kResourceExhausted)
+      << failed.to_string();
+  for (const auto& [key, seed] : acked) {
+    auto got = engine.get(key);
+    ASSERT_TRUE(got.is_ok()) << key << ": " << got.status().to_string();
+    EXPECT_TRUE(verify_pattern(*got, seed)) << key;
+  }
+}
+
+// Differential check of the point index: get/exist/scan interleaved with
+// put/del/flush (and the compactions flushes trigger) against a std::map
+// shadow, with tombstones flushed into runs and overwrites across runs.
+// Each GET and EXIST also pins its NAND cost: one page read when the key's
+// newest state is in a run (a tombstone too), none for a memtable hit or
+// a key no run holds.
+TEST_F(KvEngineFixture, PointIndexMatchesShadowAndReadsOnePage) {
+  KvEngine engine = make_engine(/*flush_threshold=*/1 << 20, /*max_runs=*/2);
+  constexpr std::uint64_t kKeys = 120;
+  // key -> value seed and size; nullopt once deleted.
+  std::map<std::string, std::optional<std::pair<std::uint64_t, std::size_t>>>
+      shadow;
+  std::set<std::string> in_memtable;  // written since the last flush
+  std::set<std::string> in_runs;      // newest state is a run record
+  std::uint64_t run_hits = 0;
+  std::uint64_t run_tombstone_hits = 0;
+  Rng rng(2024);
+
+  auto expected_reads = [&](const std::string& key) -> std::uint64_t {
+    if (in_memtable.count(key) != 0) return 0;
+    return in_runs.count(key);
+  };
+  auto live = [&](const std::string& key) {
+    const auto it = shadow.find(key);
+    return it != shadow.end() && it->second.has_value();
+  };
+
+  for (int op = 0; op < 4'000; ++op) {
+    const std::string key = workload::make_key(rng.next_below(kKeys));
+    const std::uint64_t pick = rng.next_below(100);
+    if (pick < 35) {
+      const std::uint64_t seed = rng.next();
+      const std::size_t size = 1 + rng.next_below(300);
+      ASSERT_TRUE(engine.put(key, value(size, seed)).is_ok()) << op;
+      shadow[key] = std::make_pair(seed, size);
+      in_memtable.insert(key);
+    } else if (pick < 45) {
+      const bool was_live = live(key);
+      const std::uint64_t reads_before = nand_.reads();
+      auto existed = engine.del(key);
+      ASSERT_TRUE(existed.is_ok()) << op;
+      EXPECT_EQ(*existed, was_live) << op << " " << key;
+      EXPECT_EQ(nand_.reads() - reads_before, expected_reads(key)) << op;
+      shadow[key] = std::nullopt;
+      in_memtable.insert(key);
+    } else if (pick < 75) {
+      const std::uint64_t expect = expected_reads(key);
+      const std::uint64_t reads_before = nand_.reads();
+      auto got = engine.get(key);
+      EXPECT_EQ(nand_.reads() - reads_before, expect) << op << " " << key;
+      if (live(key)) {
+        ASSERT_TRUE(got.is_ok()) << op << " " << key;
+        EXPECT_EQ(got->size(), shadow[key]->second) << op;
+        EXPECT_TRUE(verify_pattern(*got, shadow[key]->first)) << op;
+      } else {
+        EXPECT_EQ(got.status().code(), StatusCode::kNotFound) << op << key;
+      }
+      run_hits += expect;
+      if (expect == 1 && !live(key)) ++run_tombstone_hits;
+    } else if (pick < 85) {
+      const std::uint64_t reads_before = nand_.reads();
+      auto exists = engine.exist(key);
+      ASSERT_TRUE(exists.is_ok()) << op;
+      EXPECT_EQ(*exists, live(key)) << op << " " << key;
+      EXPECT_EQ(nand_.reads() - reads_before, expected_reads(key)) << op;
+    } else if (pick < 92) {
+      const std::size_t limit = 1 + rng.next_below(20);
+      auto entries = engine.scan(key, limit);
+      ASSERT_TRUE(entries.is_ok()) << op;
+      auto want = shadow.lower_bound(key);
+      for (const KvEntry& entry : *entries) {
+        while (want != shadow.end() && !want->second.has_value()) ++want;
+        ASSERT_NE(want, shadow.end()) << op;
+        EXPECT_EQ(entry.key, want->first) << op;
+        EXPECT_TRUE(verify_pattern(entry.value, want->second->first)) << op;
+        ++want;
+      }
+      if (entries->size() < limit) {
+        while (want != shadow.end() && !want->second.has_value()) ++want;
+        EXPECT_EQ(want, shadow.end()) << op << ": scan stopped early";
+      }
+    } else {
+      const std::uint64_t compactions = engine.compactions();
+      ASSERT_TRUE(engine.flush().is_ok()) << op;
+      in_runs.insert(in_memtable.begin(), in_memtable.end());
+      in_memtable.clear();
+      if (engine.compactions() != compactions) {
+        // A full merge keeps only live keys.
+        in_runs.clear();
+        for (const auto& [k, state] : shadow) {
+          if (state.has_value()) in_runs.insert(k);
+        }
+      }
+    }
+  }
+  EXPECT_GT(engine.compactions(), 10u);
+  EXPECT_GT(run_hits, 100u);
+  EXPECT_GT(run_tombstone_hits, 5u);
 }
 
 }  // namespace

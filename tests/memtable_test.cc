@@ -19,7 +19,7 @@ TEST(MemTableTest, EmptyTable) {
   MemTable table;
   EXPECT_TRUE(table.empty());
   EXPECT_EQ(table.count(), 0u);
-  EXPECT_FALSE(table.get("missing").has_value());
+  EXPECT_EQ(table.get("missing"), nullptr);
   EXPECT_FALSE(table.begin().valid());
 }
 
@@ -27,8 +27,8 @@ TEST(MemTableTest, PutGet) {
   MemTable table;
   EXPECT_TRUE(table.put("alpha", value_of("1"), 1));
   EXPECT_TRUE(table.put("beta", value_of("2"), 2));
-  const auto hit = table.get("alpha");
-  ASSERT_TRUE(hit.has_value());
+  const KvEntry* hit = table.get("alpha");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(to_string(hit->value), "1");
   EXPECT_EQ(hit->seq, 1u);
   EXPECT_FALSE(hit->tombstone);
@@ -40,8 +40,8 @@ TEST(MemTableTest, OverwriteKeepsSingleNode) {
   EXPECT_TRUE(table.put("k", value_of("old"), 1));
   EXPECT_FALSE(table.put("k", value_of("new-and-longer"), 2));
   EXPECT_EQ(table.count(), 1u);
-  const auto hit = table.get("k");
-  ASSERT_TRUE(hit.has_value());
+  const KvEntry* hit = table.get("k");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(to_string(hit->value), "new-and-longer");
   EXPECT_EQ(hit->seq, 2u);
 }
@@ -50,8 +50,8 @@ TEST(MemTableTest, TombstoneShadows) {
   MemTable table;
   table.put("k", value_of("v"), 1);
   table.del("k", 2);
-  const auto hit = table.get("k");
-  ASSERT_TRUE(hit.has_value());
+  const KvEntry* hit = table.get("k");
+  ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(hit->tombstone);
   // A later put resurrects the key.
   table.put("k", value_of("again"), 3);
@@ -61,8 +61,8 @@ TEST(MemTableTest, TombstoneShadows) {
 TEST(MemTableTest, DeleteOfAbsentKeyCreatesTombstone) {
   MemTable table;
   table.del("ghost", 1);
-  const auto hit = table.get("ghost");
-  ASSERT_TRUE(hit.has_value());
+  const KvEntry* hit = table.get("ghost");
+  ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(hit->tombstone);
 }
 
@@ -101,7 +101,7 @@ TEST(MemTableTest, ApproximateBytesGrowsAndClears) {
   table.clear();
   EXPECT_EQ(table.count(), 0u);
   EXPECT_TRUE(table.empty());
-  EXPECT_FALSE(table.get("key1").has_value());
+  EXPECT_EQ(table.get("key1"), nullptr);
 }
 
 TEST(MemTableTest, OverwriteAdjustsByteAccounting) {
@@ -128,8 +128,8 @@ TEST(MemTableTest, RandomizedAgainstStdMap) {
     }
   }
   for (const auto& [key, state] : truth) {
-    const auto hit = table.get(key);
-    ASSERT_TRUE(hit.has_value()) << key;
+    const KvEntry* hit = table.get(key);
+    ASSERT_NE(hit, nullptr) << key;
     EXPECT_EQ(hit->seq, state.first) << key;
     EXPECT_EQ(hit->tombstone, state.second) << key;
   }

@@ -1,6 +1,9 @@
-// SSTable build/read: record packing into pages, index lookups, tombstone
-// persistence, full-run scans, and corrupt-input handling.
+// SSTable build/read: record packing into pages, index lookups through the
+// shared record reader, tombstone persistence, full-run scans, and
+// corrupt-input handling.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "kv/sstable.h"
 #include "nand/ftl.h"
@@ -41,9 +44,21 @@ class SstableFixture : public ::testing::Test {
     return out;
   }
 
+  /// Finds `key` in the run's sorted index and reads its record through
+  /// read_record, as the engine does; kNotFound without an index entry.
+  StatusOr<RecordView> lookup(const SstableMeta& meta, std::string_view key) {
+    const auto it = std::find_if(
+        meta.index.begin(), meta.index.end(),
+        [key](const IndexEntry& index) { return index.key == key; });
+    if (it == meta.index.end()) return not_found("no index entry");
+    return read_record(ftl_, meta.first_lpn + it->page, it->offset, key,
+                       page_);
+  }
+
   SimClock clock_;
   nand::NandFlash nand_;
   nand::Ftl ftl_;
+  ByteVec page_ = ByteVec(4096);
 };
 
 TEST_F(SstableFixture, RecordSizeArithmetic) {
@@ -63,17 +78,15 @@ TEST_F(SstableFixture, BuildAndPointLookup) {
                              nand::NandFlash::Blocking::kForeground);
   ASSERT_TRUE(meta.is_ok());
 
-  auto found = sstable_get(ftl_, *meta, "banana");
+  auto found = lookup(*meta, "banana");
   ASSERT_TRUE(found.is_ok());
-  ASSERT_TRUE(found->has_value());
-  EXPECT_EQ((*found)->key, "banana");
-  EXPECT_EQ((*found)->value.size(), 60u);
-  EXPECT_TRUE(verify_pattern((*found)->value, 2));
-  EXPECT_EQ((*found)->seq, 2u);
+  EXPECT_EQ(found->key, "banana");
+  EXPECT_EQ(found->value.size(), 60u);
+  EXPECT_TRUE(verify_pattern(found->value, 2));
+  EXPECT_FALSE(found->tombstone);
+  EXPECT_EQ(meta->index[1].seq, 2u);
 
-  auto missing = sstable_get(ftl_, *meta, "durian");
-  ASSERT_TRUE(missing.is_ok());
-  EXPECT_FALSE(missing->has_value());
+  EXPECT_EQ(lookup(*meta, "durian").status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(SstableFixture, CoversUsesKeyRange) {
@@ -83,11 +96,30 @@ TEST_F(SstableFixture, CoversUsesKeyRange) {
   auto meta = builder.finish(ftl_, lpns(0, 1), 1,
                              nand::NandFlash::Blocking::kForeground);
   ASSERT_TRUE(meta.is_ok());
-  EXPECT_TRUE(meta->covers("bb"));
-  EXPECT_TRUE(meta->covers("cc"));
-  EXPECT_TRUE(meta->covers("dd"));
-  EXPECT_FALSE(meta->covers("aa"));
-  EXPECT_FALSE(meta->covers("ee"));
+  // The sorted index spans bb..dd: its ends read back those records, and a
+  // key inside the range that was never added has no entry.
+  ASSERT_EQ(meta->index.size(), 2u);
+  EXPECT_EQ(meta->index.front().key, "bb");
+  EXPECT_EQ(meta->index.back().key, "dd");
+  ASSERT_TRUE(lookup(*meta, "bb").is_ok());
+  ASSERT_TRUE(lookup(*meta, "dd").is_ok());
+  EXPECT_TRUE(verify_pattern(lookup(*meta, "dd")->value, 2));
+  EXPECT_EQ(lookup(*meta, "cc").status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(SstableFixture, ReadRecordRejectsAnotherKey) {
+  SstableBuilder builder(4096);
+  builder.add(entry("bb", 8, 1));
+  builder.add(entry("dd", 8, 2));
+  auto meta = builder.finish(ftl_, lpns(0, 1), 1,
+                             nand::NandFlash::Blocking::kForeground);
+  ASSERT_TRUE(meta.is_ok());
+  // Record "dd" sits at the second index entry's offset, not "bb"'s.
+  const auto read = read_record(ftl_, meta->first_lpn,
+                                meta->index[1].offset, "bb", page_);
+  EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
+  // Past the last record the page terminator ends the parse.
+  EXPECT_FALSE(parse_record(page_, 4000).has_value());
 }
 
 TEST_F(SstableFixture, RecordsNeverSpanPages) {
@@ -101,9 +133,9 @@ TEST_F(SstableFixture, RecordsNeverSpanPages) {
                              nand::NandFlash::Blocking::kForeground);
   ASSERT_TRUE(meta.is_ok());
   for (int i = 0; i < 6; ++i) {
-    auto found = sstable_get(ftl_, *meta, "key" + std::to_string(i));
-    ASSERT_TRUE(found.is_ok() && found->has_value()) << i;
-    EXPECT_TRUE(verify_pattern((*found)->value, std::uint64_t(i) + 1)) << i;
+    auto found = lookup(*meta, "key" + std::to_string(i));
+    ASSERT_TRUE(found.is_ok()) << i;
+    EXPECT_TRUE(verify_pattern(found->value, std::uint64_t(i) + 1)) << i;
   }
 }
 
@@ -114,9 +146,11 @@ TEST_F(SstableFixture, TombstonesPersist) {
   auto meta = builder.finish(ftl_, lpns(0, 1), 1,
                              nand::NandFlash::Blocking::kForeground);
   ASSERT_TRUE(meta.is_ok());
-  auto found = sstable_get(ftl_, *meta, "dead");
-  ASSERT_TRUE(found.is_ok() && found->has_value());
-  EXPECT_TRUE((*found)->tombstone);
+  EXPECT_TRUE(meta->index[0].tombstone);
+  auto found = lookup(*meta, "dead");
+  ASSERT_TRUE(found.is_ok());
+  EXPECT_TRUE(found->tombstone);
+  EXPECT_FALSE(lookup(*meta, "live")->tombstone);
 }
 
 TEST_F(SstableFixture, ReadAllReturnsEverythingInOrder) {
@@ -163,10 +197,10 @@ TEST_F(SstableFixture, EmptyValueRecords) {
   auto meta = builder.finish(ftl_, lpns(0, 1), 1,
                              nand::NandFlash::Blocking::kForeground);
   ASSERT_TRUE(meta.is_ok());
-  auto found = sstable_get(ftl_, *meta, "empty");
-  ASSERT_TRUE(found.is_ok() && found->has_value());
-  EXPECT_TRUE((*found)->value.empty());
-  EXPECT_FALSE((*found)->tombstone);
+  auto found = lookup(*meta, "empty");
+  ASSERT_TRUE(found.is_ok());
+  EXPECT_TRUE(found->value.empty());
+  EXPECT_FALSE(found->tombstone);
 }
 
 }  // namespace
