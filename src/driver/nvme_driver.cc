@@ -23,21 +23,6 @@ ConstByteSpan sqe_bytes(const nvme::SubmissionQueueEntry& sqe) {
   return {reinterpret_cast<const Byte*>(&sqe), sizeof(sqe)};
 }
 
-/// Takes the SQ submit lock unless the ring is exclusively owned
-/// (reactor mode, where the owner thread is the only submitter and the
-/// lock would be pure overhead on the hot path).
-class SqGuard {
- public:
-  explicit SqGuard(nvme::SqRing& sq) {
-    if (!sq.exclusive_owner()) {
-      lock_ = std::unique_lock<std::mutex>(sq.lock());
-    }
-  }
-
- private:
-  std::unique_lock<std::mutex> lock_;
-};
-
 }  // namespace
 
 NvmeDriver::NvmeDriver(DmaMemory& memory, pcie::PcieLink& link,
@@ -607,7 +592,7 @@ Status NvmeDriver::submit_plain(QueuePair& qp,
   int idle_spins = 0;
   for (;;) {
     {
-      SqGuard lock(*qp.sq);
+      std::lock_guard<std::mutex> lock(qp.sq->lock());
       if (qp.sq->free_slots() >= 1) {
         const Nanoseconds start = link_.clock().now();
         push_command_locked(qp, sqe, {});
@@ -740,9 +725,9 @@ Status NvmeDriver::prepare(const IoRequest& request, std::uint16_t qid,
   prep.sqe = build_base_sqe(request);
   Pending pending;
   const Nanoseconds entry_time = link_.clock().now();
-  // Reactor-posted requests backdate the latency window to the instant the
-  // request entered the MPSC ring (IoRequest::origin_ns), so ring residency
-  // is measured and attributed as kRingWait instead of silently vanishing.
+  // A request queued ahead of the driver backdates the latency window to
+  // the instant it was queued (IoRequest::origin_ns), so that time is
+  // measured and attributed as kRingWait instead of silently vanishing.
   // The timeout deadline still runs from driver entry: queueing ahead of
   // the driver must not consume the command's execution budget.
   prep.submit_time = request.origin_ns != 0 && request.origin_ns <= entry_time
@@ -878,7 +863,7 @@ Status NvmeDriver::publish(QueuePair& qp, std::span<Prepared> prepared) {
       // §3.3.2: every command of the run and its chunks are inserted under
       // one hold of the SQ lock, so the entries are consecutive and in
       // order.
-      SqGuard guard(*qp.sq);
+      std::lock_guard<std::mutex> lock(qp.sq->lock());
       const Nanoseconds start = link_.clock().now();
       std::uint64_t run_entries = 0;
       std::uint8_t bell_flags = 0;
@@ -1322,7 +1307,7 @@ std::size_t NvmeDriver::poll_completions(std::uint16_t qid) {
 void NvmeDriver::reap_one(QueuePair& qp,
                           const nvme::CompletionQueueEntry& cqe) {
   {
-    SqGuard lock(*qp.sq);
+    std::lock_guard<std::mutex> lock(qp.sq->lock());
     qp.sq->note_head(cqe.sq_head);
     qp.sq_occupancy.set(qp.sq->occupancy());
   }
@@ -1505,18 +1490,6 @@ StatusOr<NvmeDriver::PipelineResult> NvmeDriver::write_pipeline(
   return result;
 }
 
-void NvmeDriver::claim_exclusive(std::uint16_t qid) {
-  queue(qid).sq->set_exclusive_owner(true);
-}
-
-void NvmeDriver::release_exclusive(std::uint16_t qid) {
-  queue(qid).sq->set_exclusive_owner(false);
-}
-
-bool NvmeDriver::is_exclusive(std::uint16_t qid) {
-  return queue(qid).sq->exclusive_owner();
-}
-
 StatusOr<Completion> NvmeDriver::execute_ooo_striped(
     const IoRequest& request, const std::vector<std::uint16_t>& qids) {
   if (qids.empty()) return invalid_argument("no queues given");
@@ -1572,23 +1545,9 @@ StatusOr<Completion> NvmeDriver::execute_ooo_striped(
     for (const auto& [qid, entries] : published) {
       locks.emplace_back(queue(qid).sq->lock());
     }
-    // Exclusively-owned queues elide their SQ lock on the owner path, so
-    // holding the mutex does not exclude a reactor — refuse, with a typed
-    // status the caller can branch on. Checked UNDER the locks so a
-    // claim_exclusive() that raced the acquisition above is still seen;
-    // claiming a queue after this point while the stripe submit is in
-    // flight violates the reactor ownership contract (see the header).
     // Striped queues that carry only chunks never receive CQEs, so the
     // host's head cache can lag — a queue without room for its summed
     // share surfaces as backpressure instead of overrunning the ring.
-    for (const auto& [qid, entries] : published) {
-      if (queue(qid).sq->exclusive_owner()) {
-        abandon(home, {&prep, 1});
-        return failed_precondition(
-            "stripe queue " + std::to_string(qid) +
-            " is exclusively owned by a reactor");
-      }
-    }
     for (const auto& [qid, entries] : published) {
       if (queue(qid).sq->free_slots() < entries) {
         abandon(home, {&prep, 1});

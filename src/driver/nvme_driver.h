@@ -29,12 +29,10 @@
 // values never regress when two submitters race.
 // Command/stream/payload identifiers come from atomic allocators.
 //
-// Reactor ownership (sharded per-core model, see driver/reactor.h): a
-// queue claimed with claim_exclusive(qid) elides the SQ submit lock —
-// the owner thread is then the only thread allowed to submit, poll or
-// wait on that queue; cross-core work reaches it through the reactor's
-// MPSC ring. execute_ooo_striped() must never include a claimed queue
-// in its stripe set.
+// Every path takes the SQ lock: there is one submission regime. Threads
+// sharing one device are correct but serialize on the device model (the
+// Testbed pumps the controller under one firmware mutex); to scale across
+// cores, run one Testbed per thread.
 //
 // Batched submission (§3.3 doorbell coalescing): submit_batch() hands a
 // whole batch to the same core, so the SQEs and their inline chunk runs
@@ -156,9 +154,9 @@ class NvmeDriver {
 
   void set_pump(Pump pump) { pump_ = std::move(pump); }
 
-  /// The simulation clock the driver advances (the link's). Posting layers
-  /// (Reactor) stamp IoRequest::origin_ns from it so queueing ahead of the
-  /// driver is measured, not lost.
+  /// The simulation clock the driver advances (the link's). A caller that
+  /// queues requests before handing them to the driver stamps
+  /// IoRequest::origin_ns from it, so that queueing is measured, not lost.
   [[nodiscard]] SimClock& clock() noexcept { return link_.clock(); }
 
   /// Admin queue ring addresses, for controller registration at attach.
@@ -293,25 +291,14 @@ class NvmeDriver {
       std::uint16_t qid = 1,
       TransferMethod method = TransferMethod::kByteExpress);
 
-  // ---- reactor queue ownership ----
-
-  /// Marks `qid`'s SQ as exclusively owned: submit paths skip the SQ
-  /// lock. From claim until release, only the owning thread may submit,
-  /// poll or wait on this queue (the reactor contract); other threads
-  /// must hand requests to the owner via its MPSC ring.
-  void claim_exclusive(std::uint16_t qid);
-  void release_exclusive(std::uint16_t qid);
-  [[nodiscard]] bool is_exclusive(std::uint16_t qid);
-
   /// Reaps any ready completions on `qid`; returns how many were reaped.
   std::size_t poll_completions(std::uint16_t qid);
 
   /// §3.3.2 OOO extension: the command goes to `qids.front()` and the
   /// self-describing chunks are striped round-robin across all of `qids`.
-  /// Fails with kFailedPrecondition (checked under the stripe locks) when
-  /// any stripe queue is exclusively owned by a reactor, and with
-  /// kResourceExhausted when a stripe queue lacks ring space for all the
-  /// entries it would receive (a queue listed twice needs both shares).
+  /// Fails with kResourceExhausted (checked under the stripe locks) when a
+  /// stripe queue lacks ring space for all the entries it would receive
+  /// (a queue listed twice needs both shares).
   StatusOr<Completion> execute_ooo_striped(
       const IoRequest& request, const std::vector<std::uint16_t>& qids);
 

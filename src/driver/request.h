@@ -71,11 +71,13 @@ struct IoRequest {
   /// rate limiting), and attributes completions in per-tenant telemetry.
   std::uint16_t tenant = 0;
 
-  /// Sim-time the request was handed to a posting layer (0 = submitted
-  /// directly). The reactor stamps this when the request enters its MPSC
-  /// ring; the driver then backdates the command's latency window to it,
-  /// so ring residency is measured and attributed as
-  /// obs::WaitSegment::kRingWait instead of silently vanishing.
+  /// Sim-time the request was queued before it reached the driver (0 =
+  /// not queued). A caller that holds requests back (an open-loop arrival
+  /// process, a software queue) stamps it; the driver then backdates the
+  /// command's latency window to it, so the time queued before driver
+  /// entry is measured and attributed as obs::WaitSegment::kRingWait
+  /// instead of silently vanishing. The timeout deadline still runs from
+  /// driver entry.
   Nanoseconds origin_ns = 0;
 };
 
@@ -84,9 +86,9 @@ struct Completion {
   std::uint32_t dw0 = 0;
   /// Bytes copied into read_buffer (read-direction commands).
   std::uint32_t bytes_returned = 0;
-  /// Simulated submit-to-reap latency of the whole command. For a
-  /// reactor-posted request this starts at IoRequest::origin_ns, so ring
-  /// residency is part of the measured window.
+  /// Simulated submit-to-reap latency of the whole command. For a request
+  /// with IoRequest::origin_ns set this starts there, so the time queued
+  /// before driver entry is part of the measured window.
   Nanoseconds latency_ns = 0;
   /// Wait/service decomposition of latency_ns, valid at any queue depth:
   /// the segments sum EXACTLY to latency_ns for every completed command

@@ -36,9 +36,12 @@ Status KvEngine::put(std::string_view key, ConstByteSpan value) {
     return invalid_argument("value too large");
   }
   clock_.advance(config_.cpu_put_ns);
+  // Only a memtable left at its threshold by a failed flush flushes here.
+  BX_RETURN_IF_ERROR(maybe_flush());
   memtable_.put(key, value, next_seq_++);
   ++puts_;
-  return maybe_flush();
+  flush_after_write();
+  return Status::ok();
 }
 
 StatusOr<ByteVec> KvEngine::get(std::string_view key) {
@@ -64,8 +67,9 @@ StatusOr<bool> KvEngine::del(std::string_view key) {
   clock_.advance(config_.cpu_delete_ns);
   auto existing = exist(key);
   BX_RETURN_IF_ERROR(existing.status());
-  memtable_.del(key, next_seq_++);
   BX_RETURN_IF_ERROR(maybe_flush());
+  memtable_.del(key, next_seq_++);
+  flush_after_write();
   return *existing;
 }
 
@@ -212,6 +216,16 @@ Status KvEngine::maybe_flush() {
   return flush();
 }
 
+void KvEngine::flush_after_write() {
+  // The write is applied and the memtable is durable, so a failed flush
+  // does not fail it: the memtable stays at its threshold and the next
+  // write retries the flush before it inserts.
+  const Status flushed = maybe_flush();
+  if (!flushed.is_ok()) {
+    BX_LOG_WARN << "memtable flush deferred: " << flushed.to_string();
+  }
+}
+
 StatusOr<std::vector<std::uint64_t>> KvEngine::allocate_lpns(
     std::uint32_t count) {
   if (count == 0) return std::vector<std::uint64_t>{};
@@ -302,7 +316,11 @@ Status KvEngine::flush() {
   memtable_.clear();
   ++flushes_;
 
-  if (runs_.size() > config_.max_runs) return compact();
+  // The flush itself is done. A compaction that fails leaves the runs as
+  // they were; the next flush retries it.
+  if (runs_.size() > config_.max_runs && !compact().is_ok()) {
+    ++compaction_failures_;
+  }
   return Status::ok();
 }
 

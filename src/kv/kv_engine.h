@@ -58,6 +58,10 @@ class KvEngine {
 
   KvEngine(nand::Ftl& ftl, SimClock& clock, Config config);
 
+  /// A PUT or DEL that returns OK is applied; one that fails leaves the
+  /// store untouched, so a failed PUT is never readable. A write that
+  /// finds the memtable still at its threshold after a failed flush
+  /// flushes first, and fails with that flush's status if it fails again.
   Status put(std::string_view key, ConstByteSpan value);
   /// kNotFound if absent or deleted.
   StatusOr<ByteVec> get(std::string_view key);
@@ -85,7 +89,9 @@ class KvEngine {
     return iterators_.size();
   }
 
-  /// Forces the memtable to NAND (also used by NVMe flush).
+  /// Forces the memtable to NAND (also used by NVMe flush). Succeeds once
+  /// the memtable is on NAND; a compaction it triggers that fails is
+  /// counted in compaction_failures() and retried by the next flush.
   Status flush();
 
   // --- statistics / introspection ---
@@ -94,6 +100,9 @@ class KvEngine {
   [[nodiscard]] std::uint64_t flushes() const noexcept { return flushes_; }
   [[nodiscard]] std::uint64_t compactions() const noexcept {
     return compactions_;
+  }
+  [[nodiscard]] std::uint64_t compaction_failures() const noexcept {
+    return compaction_failures_;
   }
   [[nodiscard]] std::size_t run_count() const noexcept {
     return runs_.size();
@@ -105,7 +114,11 @@ class KvEngine {
 
  private:
   Status validate_key(std::string_view key) const;
+  /// Flushes when the memtable has reached its threshold.
   Status maybe_flush();
+  /// maybe_flush() after a write has been applied: a failure is deferred
+  /// to the next write, which flushes before it inserts.
+  void flush_after_write();
   /// Merges every run into one. On failure (kResourceExhausted when the
   /// output does not fit) the runs and the point index are unchanged.
   Status compact();
@@ -144,6 +157,7 @@ class KvEngine {
   std::uint64_t gets_ = 0;
   std::uint64_t flushes_ = 0;
   std::uint64_t compactions_ = 0;
+  std::uint64_t compaction_failures_ = 0;
 };
 
 }  // namespace bx::kv

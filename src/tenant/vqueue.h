@@ -16,10 +16,9 @@
 // driver or the gate is consulted — a flooding tenant first fills its
 // OWN virtual queue, not the shared rings.
 //
-// Threading: one VirtualQueue belongs to one tenant driver thread
-// (the same rule as a reactor-owned hardware queue). Different tenants'
-// VirtualQueues may run on different threads concurrently — the driver
-// and gate below are thread-safe.
+// Threading: one VirtualQueue belongs to one tenant driver thread.
+// Different tenants' VirtualQueues may run on different threads
+// concurrently — the driver and gate below are thread-safe.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,8 @@
 // submission, one completion per submission, traffic-byte conservation) —
 // see src/core/stress.h. Also hammers the driver's atomic id allocators
 // and cross-checks the vendor log page against the device's direct
-// statistics.
+// statistics, and checks the scale-out model: one Testbed per thread,
+// each run identical to the same run alone.
 //
 // The OS-thread cases double as the ThreadSanitizer targets: the CI TSan
 // job runs this binary with -fsanitize=thread.
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/stress.h"
 #include "core/testbed.h"
 #include "kv/kv_client.h"
@@ -340,6 +342,72 @@ TEST(ConcurrencyStressTest, ReadersAndWritersContendOnOneQueue) {
             0u);
   EXPECT_EQ(bed.metrics().counter_value("driver.inline_read.crc_errors"), 0u);
   EXPECT_EQ(bed.driver().pending_count_for_test(1), 0u);
+}
+
+
+// ------------------------------------------------ one Testbed per thread
+
+// Outcome of one seeded single-device run, compared field by field.
+struct DeviceRun {
+  bool ok = true;
+  Nanoseconds latency_sum = 0;
+  std::uint64_t wire_bytes = 0;
+  nvme::TransferStatsLog stats{};
+};
+
+// The same seeded loop every time: 64 B ByteExpress raw writes whose
+// contents and queue come from one fixed seed, on a device of its own.
+DeviceRun seeded_inline_write_run() {
+  Testbed bed(test::small_testbed_config());
+  Rng rng(0x7e57bed);
+  DeviceRun run;
+  ByteVec payload(64);
+  for (int i = 0; i < 200; ++i) {
+    for (Byte& byte : payload) byte = static_cast<Byte>(rng.next());
+    const auto qid = static_cast<std::uint16_t>(1 + rng.next_below(2));
+    auto completion =
+        bed.raw_write(payload, driver::TransferMethod::kByteExpress, qid);
+    if (!completion.is_ok() || !completion->ok()) {
+      run.ok = false;
+      return run;
+    }
+    run.latency_sum += completion->latency_ns;
+  }
+  run.wire_bytes = bed.traffic().total_wire_bytes();
+  auto log = bed.driver().get_transfer_stats();
+  if (!log.is_ok()) {
+    run.ok = false;
+    return run;
+  }
+  run.stats = *log;
+  return run;
+}
+
+TEST(ConcurrencyStressTest, TestbedPerThreadMatchesSingleThreadedRun) {
+  // The scale-out model: one Testbed per thread. Separate devices share
+  // no mutable state, so each thread's run must equal the same loop run
+  // alone — simulated time, wire bytes and the device's own log page.
+  const DeviceRun reference = seeded_inline_write_run();
+  ASSERT_TRUE(reference.ok);
+  ASSERT_GT(reference.latency_sum, 0u);
+
+  constexpr int kThreads = 4;
+  std::vector<DeviceRun> runs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&runs, t] { runs[t] = seeded_inline_write_run(); });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(runs[t].ok) << "thread " << t;
+    EXPECT_EQ(runs[t].latency_sum, reference.latency_sum) << "thread " << t;
+    EXPECT_EQ(runs[t].wire_bytes, reference.wire_bytes) << "thread " << t;
+    EXPECT_EQ(std::memcmp(&runs[t].stats, &reference.stats,
+                          sizeof(reference.stats)),
+              0)
+        << "thread " << t;
+  }
 }
 
 }  // namespace

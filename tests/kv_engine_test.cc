@@ -7,6 +7,8 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "kv/kv_engine.h"
@@ -441,6 +443,51 @@ TEST_F(KvEngineFixture, ExhaustedSpaceFailsTypedAndKeepsData) {
     auto got = engine.get(key);
     ASSERT_TRUE(got.is_ok()) << key << ": " << got.status().to_string();
     EXPECT_TRUE(verify_pattern(*got, seed)) << key;
+  }
+}
+
+// A PUT's status says whether it was applied: every PUT that returns OK
+// reads back and every PUT that fails does not. As the range fills,
+// compactions fail first (counted and retried, never reported by the PUT
+// whose flush went through), then flushes fail; from then on a PUT fails
+// before it touches the memtable, which stays below its threshold plus
+// one record.
+TEST_F(KvEngineFixture, PutStatusMatchesWhetherItWasApplied) {
+  KvEngine::Config config;
+  config.lpn_base = 0;
+  config.lpn_count = 12;
+  config.flush_threshold_bytes = 4 * 1024;
+  config.max_runs = 2;
+  KvEngine engine(ftl_, clock_, config);
+
+  std::map<std::string, std::uint64_t> acked;
+  std::vector<std::string> refused;
+  std::size_t record_bytes = 0;
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    const std::string key = workload::make_key(i);
+    const Status put = engine.put(key, value(900, i));
+    if (i == 0) record_bytes = engine.memtable_bytes();
+    if (put.is_ok()) {
+      acked[key] = i;
+    } else {
+      EXPECT_EQ(put.code(), StatusCode::kResourceExhausted)
+          << put.to_string();
+      refused.push_back(key);
+    }
+    EXPECT_LT(engine.memtable_bytes(),
+              config.flush_threshold_bytes + record_bytes)
+        << "PUT " << i;
+  }
+  EXPECT_GT(engine.compaction_failures(), 0u);
+  ASSERT_FALSE(refused.empty());
+  for (const auto& [key, seed] : acked) {
+    auto got = engine.get(key);
+    ASSERT_TRUE(got.is_ok()) << key << ": " << got.status().to_string();
+    EXPECT_TRUE(verify_pattern(*got, seed)) << key;
+  }
+  for (const std::string& key : refused) {
+    EXPECT_EQ(engine.get(key).status().code(), StatusCode::kNotFound)
+        << "refused PUT of " << key << " is readable";
   }
 }
 

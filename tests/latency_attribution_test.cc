@@ -1,18 +1,19 @@
 // Queue-depth-aware latency attribution: Completion::breakdown decomposes
 // latency_ns into the eight obs::WaitSegment segments with ZERO residual —
-// at QD 1, 8 and 32, for every transfer method, on the direct, batched,
-// reactor and tenant submission paths. Also covers the tail-based trace
-// sampling accounting (kept + sampled_out == seen, exactly).
+// at QD 1, 8 and 32, for every transfer method, on the direct, batched
+// and tenant submission paths, and for requests queued before driver entry
+// (IoRequest::origin_ns). Also covers the tail-based trace sampling
+// accounting (kept + sampled_out == seen, exactly).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/testbed.h"
-#include "driver/reactor.h"
 #include "obs/attribution.h"
 #include "obs/invariants.h"
 #include "obs/trace.h"
@@ -75,9 +76,9 @@ TEST(LatencyAttributionDirect, Qd1AllMethodsZeroResidual) {
       auto completion = bed.raw_write(payload, method);
       ASSERT_TRUE(completion.is_ok() && completion->ok());
       EXPECT_GT(completion->latency_ns, 0u);
-      // Direct QD1: no gate is attached, no reactor ring is crossed and
-      // the SQ can never be full, so those waits are identically zero and
-      // the window is service-dominated.
+      // Direct QD1: no gate is attached, no request was queued before
+      // driver entry and the SQ can never be full, so those waits are
+      // identically zero and the window is service-dominated.
       EXPECT_EQ(completion->breakdown.of(WaitSegment::kGateWait), 0u);
       EXPECT_EQ(completion->breakdown.of(WaitSegment::kRingWait), 0u);
       EXPECT_EQ(completion->breakdown.of(WaitSegment::kSlotWait), 0u);
@@ -210,44 +211,47 @@ TEST(LatencyAttributionBatch, MixedMethodBatchZeroResidual) {
 }
 
 // ---------------------------------------------------------------------------
-// Reactor path (MPSC ring -> batched submission).
+// Requests queued before driver entry (IoRequest::origin_ns backdating).
 
-TEST(LatencyAttributionReactor, PostedCommandsZeroResidualAndRingWait) {
-  Testbed bed(test::small_testbed_config());
-  driver::ReactorConfig config;
-  config.qid = 1;
-  config.batch_depth = 8;
-  driver::Reactor reactor(bed.driver(), config);
+TEST(LatencyAttributionQueued, OriginBackdateIsExactRingWait) {
+  core::TestbedConfig config = test::small_testbed_config();
+  config.driver.command_timeout_ns = 1'000'000;
+  Testbed bed(config);
+  bed.clock().advance(10'000'000);
 
+  // Every gap exceeds the command timeout: a deadline counted from
+  // origin_ns instead of driver entry would abort each command on its
+  // first wait.
+  constexpr Nanoseconds kGaps[] = {2'000'000, 2'500'000, 3'000'000,
+                                   4'000'000};
   std::vector<ByteVec> payloads;
-  for (std::uint32_t i = 0; i < 32; ++i) payloads.push_back(patterned(96));
+  std::vector<IoRequest> requests;
+  for (std::uint32_t i = 0; i < std::size(kGaps); ++i) {
+    payloads.push_back(patterned(96 + i * 64));
+  }
+  // A ByteExpress batch spends no simulated time before its commands
+  // enter the driver, so entry is the clock at the call.
+  const Nanoseconds entry = bed.driver().clock().now();
+  for (std::uint32_t i = 0; i < std::size(kGaps); ++i) {
+    requests.push_back(
+        raw_write_request(payloads[i], TransferMethod::kByteExpress));
+    requests.back().origin_ns = entry - kGaps[i];
+  }
+  auto completions = bed.driver().execute_batch(requests, 1);
+  ASSERT_TRUE(completions.is_ok()) << completions.status().to_string();
+  ASSERT_EQ(completions->size(), std::size(kGaps));
 
   std::vector<BreakdownSample> samples;
-  std::uint64_t ring_wait_total = 0;
-  for (std::uint32_t i = 0; i < 32; ++i) {
-    const bool posted = reactor.post(
-        raw_write_request(payloads[i], TransferMethod::kByteExpress),
-        [&](const StatusOr<Completion>& completion) {
-          ASSERT_TRUE(completion.is_ok() && completion->ok());
-          ring_wait_total += completion->breakdown.of(WaitSegment::kRingWait);
-          samples.push_back(sample_of(*completion));
-        });
-    ASSERT_TRUE(posted);
-    // Advance simulated time between post and drain so MPSC-ring residency
-    // is observable, then drain every 8 posts (one coalesced batch).
-    bed.clock().advance(250);
-    if ((i + 1) % 8 == 0) {
-      while (reactor.poll_once() > 0) {
-      }
-    }
+  for (std::uint32_t i = 0; i < std::size(kGaps); ++i) {
+    const Completion& completion = (*completions)[i];
+    ASSERT_TRUE(completion.ok()) << "request " << i;
+    EXPECT_EQ(completion.breakdown.of(WaitSegment::kRingWait), kGaps[i])
+        << "request " << i;
+    EXPECT_GT(completion.latency_ns, kGaps[i]) << "request " << i;
+    samples.push_back(sample_of(completion));
   }
-  while (reactor.poll_once() > 0) {
-  }
-  ASSERT_EQ(samples.size(), 32u);
-  expect_no_violations(samples, "reactor path");
-  // Posts sat in the ring across clock advances: the residency must be
-  // attributed, not vanish into the latency.
-  EXPECT_GT(ring_wait_total, 0u);
+  expect_no_violations(samples, "queued before driver entry");
+  EXPECT_EQ(bed.metrics().counter_value("driver.timeouts"), 0u);
 }
 
 // ---------------------------------------------------------------------------
